@@ -86,6 +86,16 @@ void Tape::AccumulateGrad(Var v, Matrix&& g) {
   }
 }
 
+Matrix* Tape::GradBuffer(Var v) {
+  Node& n = node(v);
+  LAYERGCN_CHECK(n.requires_grad) << "GradBuffer of a node without gradient";
+  if (n.grad.empty()) {
+    const Matrix& val = n.external != nullptr ? *n.external : n.owned_value;
+    n.grad = Matrix(val.rows(), val.cols());
+  }
+  return &n.grad;
+}
+
 void Tape::Backward(Var loss) {
   LAYERGCN_CHECK(!backward_done_) << "Backward() may run once per tape";
   backward_done_ = true;

@@ -91,6 +91,12 @@ class Tape {
   /// Move-friendly overload: installs `g` directly when the buffer is empty.
   void AccumulateGrad(Var v, Matrix&& g);
 
+  /// Gradient buffer of `v`, allocated zero-filled on first use; `v` must
+  /// require grad. Lets a fused op add its terms into an input's gradient
+  /// in place, in the order an unfused chain would, without one N x T
+  /// temporary per term.
+  Matrix* GradBuffer(Var v);
+
  private:
   struct Node {
     Matrix owned_value;              // storage unless external

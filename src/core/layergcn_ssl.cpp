@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/refined_propagation.h"
 #include "tensor/ops.h"
 #include "util/logging.h"
 
@@ -24,24 +25,15 @@ void LayerGcnSsl::BeginEpoch(int epoch, util::Rng* rng) {
   view_dropout_->SampleAdjacencyInto(rng, epoch, &view2_);
 }
 
-ag::Var LayerGcnSsl::PropagateView(ag::Tape* tape, ag::Var x0,
+ag::Var LayerGcnSsl::PropagateView(ag::Var x0,
                                    const sparse::CsrMatrix* adj) const {
-  const auto& opts = options();
   // Unlike the ranking readout (Eq. 9), the *view* representation keeps the
   // ego layer: a node whose every edge was pruned in this view would
   // otherwise have an exactly-zero embedding, and normalizing a zero vector
   // makes the InfoNCE gradient blow up by 1/eps (SGL's LightGCN backbone
   // never hits this because its mean readout includes X⁰).
-  std::vector<ag::Var> layers{x0};
-  ag::Var x = x0;
-  for (int l = 0; l < config_.num_layers; ++l) {
-    ag::Var h = ag::SpMMSymmetric(adj, x);
-    ag::Var a = ag::RowwiseCosine(h, x0, opts.epsilon);
-    x = ag::ScaleRows(h, ag::AddScalar(a, opts.epsilon));
-    layers.push_back(x);
-  }
-  (void)tape;
-  return ag::AddN(layers);
+  return RefinedPropagation(adj, x0, config_.num_layers, options().epsilon,
+                            /*include_ego_layer=*/true);
 }
 
 ag::Var LayerGcnSsl::BatchLoss(ag::Tape* tape, ag::Var x0,
@@ -77,8 +69,8 @@ ag::Var LayerGcnSsl::BatchLoss(ag::Tape* tape, ag::Var x0,
   prepare(&item_nodes);
 
   // One propagation per view, shared by both sides.
-  ag::Var view1_emb = PropagateView(tape, x0, &view1_);
-  ag::Var view2_emb = PropagateView(tape, x0, &view2_);
+  ag::Var view1_emb = PropagateView(x0, &view1_);
+  ag::Var view2_emb = PropagateView(x0, &view2_);
 
   auto info_nce = [&](const std::vector<int32_t>& nodes) -> ag::Var {
     ag::Var z1 = ag::NormalizeRows(ag::GatherRows(view1_emb, nodes));

@@ -64,8 +64,7 @@ class LayerGcnSsl : public LayerGcn {
 
  private:
   /// Layer-refined propagation over an explicit adjacency (a view).
-  ag::Var PropagateView(ag::Tape* tape, ag::Var x0,
-                        const sparse::CsrMatrix* adj) const;
+  ag::Var PropagateView(ag::Var x0, const sparse::CsrMatrix* adj) const;
 
   SslOptions ssl_;
   std::unique_ptr<graph::EdgeDropout> view_dropout_;

@@ -86,6 +86,7 @@ bool BprSampler::NextBatch(int64_t batch_size, util::Rng* rng,
 }
 
 int64_t BprSampler::NumBatches(int64_t batch_size) const {
+  LAYERGCN_CHECK_GE(batch_size, 1) << "batch size must be positive";
   const int64_t m = graph_->num_edges();
   return (m + batch_size - 1) / batch_size;
 }

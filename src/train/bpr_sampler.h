@@ -47,7 +47,7 @@ class BprSampler {
   /// epoch is exhausted (batch left empty).
   bool NextBatch(int64_t batch_size, util::Rng* rng, BprBatch* batch);
 
-  /// Number of batches a full epoch yields for the given size.
+  /// Number of batches a full epoch yields for the given size (>= 1).
   int64_t NumBatches(int64_t batch_size) const;
 
   /// Position in the shuffled edge order (checkpoint state). At an epoch

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "autograd/ops.h"
+#include "core/refined_propagation.h"
 #include "tensor/ops.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
@@ -22,10 +23,13 @@ using layergcn::testing::LossBuilder;
 // Grows a random expression DAG: starts from the leaf Vars (all R x C) and
 // repeatedly combines two random existing nodes (or transforms one) with a
 // random smooth shape-preserving op; nodes are reused, so the backward pass
-// must accumulate fan-out gradients correctly. Ends with a smooth scalar
-// reduction.
+// must accumulate fan-out gradients correctly. One op kind is LayerGCN's
+// fused refined propagation over `adj` (R x R), whose backward adds into
+// its input's gradient buffer in place, often after other consumers of that
+// input have populated it. Ends with a smooth scalar reduction.
 Var BuildRandomDag(Tape* /*tape*/, const std::vector<Var>& leaves,
-                   uint64_t structure_seed, int steps) {
+                   const sparse::CsrMatrix* adj, uint64_t structure_seed,
+                   int steps) {
   util::Rng rng(structure_seed);
   std::vector<Var> pool = leaves;
   for (int s = 0; s < steps; ++s) {
@@ -34,7 +38,7 @@ Var BuildRandomDag(Tape* /*tape*/, const std::vector<Var>& leaves,
     const Var b = pool[static_cast<size_t>(
         rng.NextBounded(pool.size()))];
     Var out;
-    switch (rng.NextInt(0, 8)) {
+    switch (rng.NextInt(0, 9)) {
       case 0:
         out = Add(a, b);
         break;
@@ -55,6 +59,10 @@ Var BuildRandomDag(Tape* /*tape*/, const std::vector<Var>& leaves,
         break;
       case 6:
         out = ScaleRows(a, RowwiseCosine(a, b, 1e-6f));
+        break;
+      case 7:
+        out = core::RefinedPropagation(adj, a, 1 + (s % 2), 1e-6f,
+                                       /*include_ego_layer=*/s % 3 == 0);
         break;
       default:
         out = AddN({a, b});
@@ -83,8 +91,10 @@ TEST_P(AutogradFuzzTest, RandomDagGradientsMatchNumerics) {
         layergcn::testing::RandomMatrix(rows, cols, &rng, -0.8f, 0.8f));
   }
   const int steps = 4 + static_cast<int>(rng.NextBounded(5));
+  const sparse::CsrMatrix adj =
+      layergcn::testing::RandomSymmetricAdjacency(rows, &rng, 0.5);
   LossBuilder build = [&](Tape* tape, const std::vector<Var>& leaves) {
-    return BuildRandomDag(tape, leaves, seed * 977 + 13, steps);
+    return BuildRandomDag(tape, leaves, &adj, seed * 977 + 13, steps);
   };
   ExpectGradientsMatch(build, {&params[0], &params[1], &params[2]},
                        /*eps=*/1e-2f, /*rel_tol=*/3e-2f, /*abs_tol=*/3e-3f,

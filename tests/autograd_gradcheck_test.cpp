@@ -1,11 +1,12 @@
 // Central-difference gradient checks for every autograd op and for the
-// composite losses used by the models (BPR, LayerGCN refinement chain,
-// VAE-style pipeline). These tests are the ground truth that training
-// gradients are correct.
+// composite losses used by the models (BPR, LayerGCN refinement chain and
+// its fused op, VAE-style pipeline). These tests are the ground truth that
+// training gradients are correct.
 
 #include <cmath>
 
 #include "autograd/ops.h"
+#include "core/refined_propagation.h"
 #include "gtest/gtest.h"
 #include "sparse/csr_matrix.h"
 #include "tensor/ops.h"
@@ -268,13 +269,12 @@ TEST(GradCheckTest, BprLossPipeline) {
   ExpectGradientsMatch(build, {&emb});
 }
 
-TEST(GradCheckTest, LayerGcnRefinementChain) {
-  // Full Eq. 6-9 pipeline: SpMM → cosine with ego → (a + eps) row scaling,
-  // two layers, sum readout, BPR-ish reduction.
-  util::Rng rng(96);
+// A small weighted bipartite-style graph on nodes 0..5; nodes 6.. of
+// `nodes` get no edges.
+sparse::CsrMatrix RefinementTestGraph(int64_t nodes) {
   sparse::CooMatrix coo;
-  coo.rows = 6;
-  coo.cols = 6;
+  coo.rows = nodes;
+  coo.cols = nodes;
   auto sym = [&](int32_t a, int32_t b, float v) {
     coo.entries.push_back({a, b, v});
     coo.entries.push_back({b, a, v});
@@ -284,7 +284,14 @@ TEST(GradCheckTest, LayerGcnRefinementChain) {
   sym(1, 4, 0.7f);
   sym(2, 5, 0.6f);
   sym(1, 5, 0.3f);
-  sparse::CsrMatrix adj = sparse::CsrMatrix::FromCoo(coo);
+  return sparse::CsrMatrix::FromCoo(coo);
+}
+
+TEST(GradCheckTest, LayerGcnRefinementChain) {
+  // Full Eq. 6-9 pipeline: SpMM → cosine with ego → (a + eps) row scaling,
+  // two layers, sum readout, BPR-ish reduction.
+  util::Rng rng(96);
+  sparse::CsrMatrix adj = RefinementTestGraph(6);
   tensor::Matrix emb = RandomMatrix(6, 4, &rng, -0.8f, 0.8f);
   tensor::Matrix w = RandomMatrix(6, 4, &rng);
   LossBuilder build = [&](Tape* tape, const std::vector<Var>& leaves) {
@@ -300,6 +307,29 @@ TEST(GradCheckTest, LayerGcnRefinementChain) {
     return Sum(Hadamard(AddN(layers), tape->Constant(w)));
   };
   ExpectGradientsMatch(build, {&emb});
+}
+
+TEST(GradCheckTest, FusedRefinedPropagation) {
+  // core::RefinedPropagation, the chain above as one op, on the same graph
+  // plus an isolated node 6, with and without the ego readout. With ε = 1
+  // and small embeddings every |h||x0| stays below ε, so each cosine takes
+  // the branch whose denominator is the constant ε.
+  util::Rng rng(99);
+  sparse::CsrMatrix adj = RefinementTestGraph(7);
+  const tensor::Matrix w = RandomMatrix(7, 4, &rng);
+  for (bool ego : {false, true}) {
+    for (float eps : {1e-8f, 1.f}) {
+      const float range = eps < 1.f ? 0.8f : 0.3f;
+      tensor::Matrix emb = RandomMatrix(7, 4, &rng, -range, range);
+      LossBuilder build = [&](Tape* tape, const std::vector<Var>& leaves) {
+        return Sum(Hadamard(
+            core::RefinedPropagation(&adj, leaves[0], 2, eps, ego),
+            tape->Constant(w)));
+      };
+      SCOPED_TRACE(::testing::Message() << "ego=" << ego << " eps=" << eps);
+      ExpectGradientsMatch(build, {&emb});
+    }
+  }
 }
 
 TEST(GradCheckTest, VaeStylePipeline) {

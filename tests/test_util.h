@@ -5,6 +5,7 @@
 #define LAYERGCN_TESTS_TEST_UTIL_H_
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <vector>
 
@@ -85,6 +86,54 @@ inline void ExpectGradientsMatch(const LossBuilder& build,
           << "param " << pi << " entry " << i;
     }
   }
+}
+
+/// True when `a` and `b` have the same shape and the same bits (unlike
+/// Equals, this tells -0 from +0 and matches NaN payloads).
+inline bool SameBits(const tensor::Matrix& a, const tensor::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(float) * static_cast<size_t>(a.size())) == 0;
+}
+
+/// Symmetric-normalized adjacency D^{-1/2} A D^{-1/2} of a seeded random
+/// undirected graph on `n` nodes (edge probability `density`). Node
+/// `isolated`, when in range, gets no edges.
+inline sparse::CsrMatrix RandomSymmetricAdjacency(int64_t n, util::Rng* rng,
+                                                  double density,
+                                                  int64_t isolated = -1) {
+  sparse::CooMatrix coo;
+  coo.rows = n;
+  coo.cols = n;
+  for (int32_t i = 0; i < n; ++i) {
+    for (int32_t j = i + 1; j < n; ++j) {
+      if (i == isolated || j == isolated || rng->NextDouble() >= density) {
+        continue;
+      }
+      coo.entries.push_back({i, j, 1.f});
+      coo.entries.push_back({j, i, 1.f});
+    }
+  }
+  return sparse::SymmetricNormalize(coo);
+}
+
+/// LayerGCN's refined layers and readout (Eqs. 6-9) as the four-op chain
+/// per layer, SpMMSymmetric → RowwiseCosine → AddScalar → ScaleRows, and
+/// an AddN readout: the oracle core::RefinedPropagation must match bit for
+/// bit.
+inline ag::Var RefinedChain(const sparse::CsrMatrix* adj, ag::Var x0,
+                            int num_layers, float eps,
+                            bool include_ego_layer) {
+  std::vector<ag::Var> layers;
+  if (include_ego_layer) layers.push_back(x0);
+  ag::Var x = x0;
+  for (int l = 0; l < num_layers; ++l) {
+    ag::Var h = ag::SpMMSymmetric(adj, x);
+    ag::Var a = ag::RowwiseCosine(h, x0, eps);
+    x = ag::ScaleRows(h, ag::AddScalar(a, eps));
+    layers.push_back(x);
+  }
+  return ag::AddN(layers);
 }
 
 /// A tiny deterministic dataset: 6 users, 5 items, hand-written

@@ -3,7 +3,9 @@
 // epoch losses and final embeddings at 1, 2, and 8 compute threads. This is
 // the contract the deterministic parallel layer (util/parallel.h) promises:
 // fixed block partitions, in-order reduction combines, and row-sharded
-// scatter-adds make the thread count unobservable in the numerics.
+// scatter-adds make the thread count unobservable in the numerics. The
+// same runs pin LayerGCN's fused refined-layer op to the four-op chain it
+// replaced.
 
 #include <cstring>
 #include <vector>
@@ -13,6 +15,7 @@
 #include "data/synthetic.h"
 #include "gtest/gtest.h"
 #include "tensor/matrix.h"
+#include "test_util.h"
 #include "train/trainer.h"
 #include "util/parallel.h"
 #include "util/thread_pool.h"
@@ -38,7 +41,20 @@ struct RunOutput {
   tensor::Matrix embeddings;
 };
 
-RunOutput TrainAtWidth(const data::Dataset& ds, int width) {
+// LayerGCN with its refined layers built from the four-op chain instead of
+// the fused op: the reference the fused training trajectory must match.
+class ChainLayerGcn : public core::LayerGcn {
+ protected:
+  ag::Var Propagate(ag::Tape* /*tape*/, ag::Var x0, bool training,
+                    util::Rng* /*rng*/) override {
+    return layergcn::testing::RefinedChain(
+        adjacency(training), x0, config_.num_layers, options().epsilon,
+        options().include_ego_layer);
+  }
+};
+
+RunOutput TrainAtWidth(const data::Dataset& ds, int width,
+                       core::LayerGcn* model) {
   util::ThreadPool pool(width);
   util::parallel::ScopedComputePool scope(&pool);
 
@@ -55,12 +71,16 @@ RunOutput TrainAtWidth(const data::Dataset& ds, int width) {
   cfg.early_stop_patience = 1000;
   cfg.seed = 21;
 
-  core::LayerGcn model;
-  const TrainResult r = FitRecommender(&model, ds, cfg);
+  const TrainResult r = FitRecommender(model, ds, cfg);
   RunOutput out;
   out.epoch_losses = r.epoch_losses;
-  out.embeddings = model.Params()[0]->value;
+  out.embeddings = model->Params()[0]->value;
   return out;
+}
+
+RunOutput TrainAtWidth(const data::Dataset& ds, int width) {
+  core::LayerGcn model;
+  return TrainAtWidth(ds, width, &model);
 }
 
 TEST(TrainerDeterminismTest, BitExactAcrossThreadCounts) {
@@ -94,6 +114,23 @@ TEST(TrainerDeterminismTest, RepeatedRunsAtSameWidthAreBitExact) {
   EXPECT_EQ(0, std::memcmp(a.embeddings.data(), b.embeddings.data(),
                            sizeof(float) *
                                static_cast<size_t>(a.embeddings.size())));
+}
+
+TEST(TrainerDeterminismTest, FusedRefinementMatchesFourOpChain) {
+  // The fused refined-layer op repeats the chain's rounding and its
+  // gradient accumulation order, so the whole trajectory is bit-identical.
+  const data::Dataset ds = MidDataset();
+  for (int width : {1, 2, 8}) {
+    core::LayerGcn fused_model;
+    ChainLayerGcn chain_model;
+    const RunOutput fused = TrainAtWidth(ds, width, &fused_model);
+    const RunOutput chain = TrainAtWidth(ds, width, &chain_model);
+    ASSERT_EQ(fused.epoch_losses.size(), 3u);
+    EXPECT_EQ(fused.epoch_losses, chain.epoch_losses) << "width=" << width;
+    EXPECT_TRUE(layergcn::testing::SameBits(fused.embeddings,
+                                            chain.embeddings))
+        << "width=" << width;
+  }
 }
 
 }  // namespace

@@ -19,6 +19,12 @@
 # --metrics-out, --telemetry-out) and gates the outputs with
 # validate_jsonl: any malformed JSON/JSONL fails the check.
 #
+# The `perfbench` stage builds the benchmark (perfbench/, a CMake package
+# of its own over ../src) under the build root and runs its self-tests:
+# perfbench_checks_test feeds every correctness check a wrong answer, and
+# perfbench_smoke_test runs each workload on tiny inputs, traced and
+# untraced, and requires exactly the metric names of BENCHMARK.json.
+#
 # The `obs-serve` stage covers the serving-tier observability surfaces:
 # a 1k-request sweep through layergcn_serve with every sink attached
 # (access log, Chrome trace, health status, Prometheus exposition,
@@ -119,6 +125,17 @@ run_obs_stage() {
     "${out}/trace.json" "${out}/metrics.json" "${out}/telemetry.jsonl"
 }
 run_obs_stage
+
+run_perfbench_stage() {
+  local dir="${build_root}/perfbench"
+  echo "=== [perfbench] configure ==="
+  cmake -S "${repo_root}/perfbench" -B "${dir}" -DCMAKE_BUILD_TYPE=Release
+  echo "=== [perfbench] build ==="
+  cmake --build "${dir}" -j "${jobs}"
+  echo "=== [perfbench] self-tests ==="
+  ctest --test-dir "${dir}" --output-on-failure
+}
+run_perfbench_stage
 
 # Serving-tier observability: one instrumented sweep with every sink
 # attached, schema-gated end to end, then the bench_diff exit-code matrix

@@ -150,9 +150,9 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (key == "--seed") {
       ok = as_int(&flags->seed);
     } else if (key == "--dim") {
-      ok = as_int(&flags->dim);
+      ok = as_int(&flags->dim) && flags->dim >= 1;
     } else if (key == "--layers") {
-      ok = as_int(&flags->layers);
+      ok = as_int(&flags->layers) && flags->layers >= 1;
     } else if (key == "--lr") {
       ok = as_double(&flags->lr);
     } else if (key == "--l2") {
@@ -162,7 +162,7 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (key == "--dropkind") {
       flags->dropkind = value;
     } else if (key == "--batch") {
-      ok = as_int(&flags->batch);
+      ok = as_int(&flags->batch) && flags->batch >= 1;
     } else if (key == "--epochs") {
       ok = as_int(&flags->epochs);
     } else if (key == "--patience") {
