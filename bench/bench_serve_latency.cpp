@@ -43,7 +43,6 @@
 
 #include "bench/bench_env.h"
 #include "eval/fused_rank.h"
-#include "eval/quant_kernel.h"
 #include "experiments/env.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
@@ -310,7 +309,7 @@ std::vector<EncodingResult> RunQuantPass(uint64_t seed, bool* f32_parity_ok) {
   // spawning, not scoring).
   util::ThreadPool single(1);
   util::parallel::ScopedComputePool pinned(&single);
-  eval::FusedRankConfig one_thread;  // num_threads = 0: the pinned pool
+  eval::FusedRankConfig one_thread;  // runs on the pinned pool
 
   const tensor::Int8Rows user_i8 = tensor::QuantizeInt8PerRow(user_emb);
   const tensor::Int8Panel item_i8 =
@@ -353,14 +352,14 @@ std::vector<EncodingResult> RunQuantPass(uint64_t seed, bool* f32_parity_ok) {
         &f32_ranked, &out[0].scores_per_sec);
   out[1].name = "int8";
   timed([&](int32_t u) {
-          return eval::QuantScoreTopKInt8(user_i8, {u}, item_i8, k, nullptr,
-                                          one_thread);
+          return eval::ScoreTopK(eval::Int8Scoring{&user_i8, &item_i8}, {u},
+                                 nullptr, k, nullptr, one_thread);
         },
         &i8_ranked, &out[1].scores_per_sec);
   out[2].name = "bf16";
   timed([&](int32_t u) {
-          return eval::QuantScoreTopKBf16(user_b16, {u}, item_b16, k,
-                                          nullptr, one_thread);
+          return eval::ScoreTopK(eval::Bf16Scoring{&user_b16, &item_b16},
+                                 {u}, nullptr, k, nullptr, one_thread);
         },
         &b16_ranked, &out[2].scores_per_sec);
 

@@ -196,7 +196,7 @@ void ItemIndex::GatherCandidates(const std::vector<int32_t>& probe_cells,
     out->insert(out->end(), cell_begin(c), cell_begin(c) + cell_size(c));
   }
   // Cells are disjoint and internally sorted; one sort merges them into
-  // the ascending order the subset kernels' exclusion cursor requires.
+  // the ascending order the rank traversal's exclusion cursor requires.
   std::sort(out->begin(), out->end());
 }
 

@@ -6,8 +6,8 @@
 // is a cheap candidate-generation tier: cluster the items once at snapshot
 // load with k-means (the "inverted file" coarse quantizer), and per request
 // score the user only against the cell centroids (a tiny GEMV), probe the
-// top `nprobe` cells, and re-rank their members exactly with the existing
-// fused/quantized kernels. Retrieval quality is a pure inner-product
+// top `nprobe` cells, and re-rank their members exactly with the rank
+// traversal (eval::ScoreTopK). Retrieval quality is a pure inner-product
 // problem over the final fused LayerGCN embeddings, so the index needs no
 // training state — just the f32 item matrix.
 //

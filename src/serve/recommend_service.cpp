@@ -161,7 +161,8 @@ std::vector<std::vector<int32_t>> RecommendService::ScoreTopK(
     eval::ScoreEncoding encoding, RetrievalMode retrieval,
     eval::RankDeadline* deadline, std::vector<std::vector<float>>* scores,
     int64_t* candidates_scored) {
-  const std::vector<int32_t> user_ids = {req.user_id};
+  const std::vector<int32_t>* candidates = nullptr;
+  *candidates_scored = snap.num_items();
   if (retrieval == RetrievalMode::kIvf) {
     // Stage one: probe. Centroids are scored against the f32 user row
     // (always present, whatever encoding re-ranks) — the probe picks
@@ -171,49 +172,24 @@ std::vector<std::vector<int32_t>> RecommendService::ScoreTopK(
     // Per-worker scratch: requests run one per pool worker, so these
     // never see concurrent use and the hot path stays allocation-free.
     thread_local std::vector<int32_t> probe_cells;
-    thread_local std::vector<int32_t> candidates;
+    thread_local std::vector<int32_t> ivf_candidates;
     index.TopCells(snap.user_emb().row(req.user_id), options_.nprobe,
                    &probe_cells);
-    index.GatherCandidates(probe_cells, &candidates);
+    index.GatherCandidates(probe_cells, &ivf_candidates);
     OBS_COUNT("serve.retrieval.requests", 1);
     OBS_COUNT("serve.retrieval.cells_probed",
               static_cast<int64_t>(probe_cells.size()));
     OBS_COUNT("serve.retrieval.candidates_scored",
-              static_cast<int64_t>(candidates.size()));
-    *candidates_scored = static_cast<int64_t>(candidates.size());
-    // Stage two: exact re-rank over the candidates only, same per-pair
-    // scores and (score desc, id asc) order as the full kernels.
-    switch (encoding) {
-      case eval::ScoreEncoding::kInt8:
-        return eval::QuantScoreTopKInt8Subset(
-            snap.user_int8(), user_ids, snap.item_int8_panel(), candidates,
-            req.k, &snap.user_history(), options_.rank, deadline, scores);
-      case eval::ScoreEncoding::kBf16:
-        return eval::QuantScoreTopKBf16Subset(
-            snap.user_bf16(), user_ids, snap.item_bf16_panel(), candidates,
-            req.k, &snap.user_history(), options_.rank, deadline, scores);
-      case eval::ScoreEncoding::kF32:
-        return eval::FusedScoreTopKSubset(
-            snap.user_emb(), user_ids, snap.item_emb(), candidates, req.k,
-            &snap.user_history(), options_.rank, deadline, scores);
-    }
+              static_cast<int64_t>(ivf_candidates.size()));
+    candidates = &ivf_candidates;
+    *candidates_scored = static_cast<int64_t>(ivf_candidates.size());
   }
-  *candidates_scored = snap.num_items();
-  switch (encoding) {
-    case eval::ScoreEncoding::kInt8:
-      return eval::QuantScoreTopKInt8(
-          snap.user_int8(), user_ids, snap.item_int8_panel(), req.k,
-          &snap.user_history(), options_.rank, deadline, scores);
-    case eval::ScoreEncoding::kBf16:
-      return eval::QuantScoreTopKBf16(
-          snap.user_bf16(), user_ids, snap.item_bf16_panel(), req.k,
-          &snap.user_history(), options_.rank, deadline, scores);
-    case eval::ScoreEncoding::kF32:
-      return eval::FusedScoreTopK(
-          snap.user_emb(), user_ids, snap.item_emb(), req.k,
-          &snap.user_history(), options_.rank, deadline, scores);
-  }
-  return {};
+  // Stage two (or the whole exact scan): the one rank traversal, fed the
+  // candidate list when there is one — same per-pair scores and (score
+  // desc, id asc) order either way.
+  return eval::ScoreTopK(snap.scoring(encoding), {req.user_id}, candidates,
+                         req.k, &snap.user_history(), options_.rank, deadline,
+                         scores);
 }
 
 RecommendResponse RecommendService::ServeDegraded(

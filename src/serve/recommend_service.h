@@ -1,11 +1,11 @@
-// Hardened top-K recommendation serving on top of the fused rank kernel.
+// Hardened top-K recommendation serving on top of the rank traversal.
 //
 // A request names a user and a K; the response is the model's top-K items
 // (training interactions excluded), scored against the current
-// ModelSnapshot through eval::FusedScoreTopK — the same kernel, arguments,
+// ModelSnapshot by one eval::ScoreTopK call — the traversal, arguments,
 // and (score desc, id asc) total order the offline Evaluator uses, so a
-// served ranking is bit-identical to the evaluation ranking for the same
-// embeddings at any thread count.
+// served f32 ranking is bit-identical to the evaluation ranking for the
+// same embeddings at any thread count.
 //
 // Robustness ladder, in order:
 //   validation   every request field is checked up front; anything
@@ -30,10 +30,13 @@
 //                (serve.expired_in_queue) — overload must not burn CPU
 //                computing answers nobody is waiting for
 //   deadline     a per-request budget becomes an absolute RankDeadline
-//                enforced at item-tile boundaries inside the kernel; on
-//                expiry a truncated prefix ranking is returned flagged
-//                `partial` (serve.deadline_partial), or DeadlineExceeded
-//                when nothing was scored (serve.deadline_errors)
+//                the traversal checks before its user tile and between
+//                item runs (eval/fused_rank.h); on expiry a truncated
+//                prefix ranking is returned flagged `partial`
+//                (serve.deadline_partial), or DeadlineExceeded when
+//                nothing was scored (serve.deadline_errors) — which is
+//                what a budget already spent at scoring time gets, exact
+//                and ivf alike
 //   brownout     with overload.brownout.enabled, sustained SLO breach
 //                (serving_stats' SloMonitor) steps the serving mode down
 //                exact -> ivf -> quantized -> cache/popularity-only and
@@ -47,20 +50,21 @@
 //
 // Scoring encoding: options.encoding selects which embedding copy the
 // request scores against — f32 (the bit-exact reference, default), int8,
-// or bf16 (quantized kernels in eval/quant_kernel.h). A request whose
-// snapshot lacks the requested encoding falls back to f32 for that request
-// (serve.encoding_fallbacks). Rankings are deterministic within an
-// encoding; across encodings they differ by bounded quantization error.
+// or bf16 (ModelSnapshot::scoring hands the traversal that copy's view).
+// A request whose snapshot lacks the requested encoding falls back to f32
+// for that request (serve.encoding_fallbacks). Rankings are deterministic
+// within an encoding; across encodings they differ by bounded
+// quantization error.
 //
 // Two-stage retrieval: options.retrieval selects the candidate set the
-// rank kernel scores. kExact scans every item (the reference path above);
-// kIvf probes the snapshot's ItemIndex — score the user against all cell
-// centroids (a tiny GEMV), take the top options.nprobe cells, gather
-// their members, and re-rank only those candidates with the same
-// per-encoding kernels (subset variants computing bit-identical per-pair
-// scores). The ivf ranking is the exact ranking filtered to the probed
-// cells — approximate only in which items were considered, never in how
-// they were scored or ordered. Requests carrying exact=true, and every
+// rank traversal scores. kExact scans every item (the reference path
+// above); kIvf probes the snapshot's ItemIndex — score the user against
+// all cell centroids (a tiny GEMV), take the top options.nprobe cells,
+// gather their members, and feed that sorted candidate list through the
+// same traversal (same per-pair score bits, heaps and deadline checks).
+// The ivf ranking is the exact ranking filtered to the probed cells —
+// approximate only in which items were considered, never in how they
+// were scored or ordered. Requests carrying exact=true, and every
 // request against a snapshot without an index (build failed or never
 // requested — serve.retrieval.exact_fallbacks), take the exact path.
 // Counters: serve.retrieval.{requests,cells_probed,candidates_scored};
@@ -101,7 +105,6 @@
 #include <vector>
 
 #include "eval/fused_rank.h"
-#include "eval/quant_kernel.h"
 #include "serve/circuit_breaker.h"
 #include "serve/overload.h"
 #include "serve/request_context.h"
@@ -167,7 +170,7 @@ struct RecommendServiceOptions {
   /// behavior: limit = queue_capacity, brownout off.
   OverloadOptions overload;
   CircuitBreaker::Options breaker;
-  /// Kernel tuning; num_threads = 0 uses the shared compute pool.
+  /// Rank traversal tiling (runs on the shared compute pool).
   eval::FusedRankConfig rank;
   /// Embedding encoding requests score against (per-request f32 fallback
   /// when the snapshot lacks it).
@@ -285,10 +288,10 @@ class RecommendService {
                         const RecommendRequest& req) const;
   RecommendResponse ServeDegraded(const ModelSnapshot& snap,
                                   const RecommendRequest& req) const;
-  /// Runs the rank kernel for `req` under `encoding` + `retrieval`:
-  /// full-scan kernels for exact, TopCells -> GatherCandidates -> subset
-  /// kernels for ivf. Returns the per-user rankings (single user) and
-  /// fills `scores` / `candidates_scored`.
+  /// Runs eval::ScoreTopK for `req` over `encoding`'s copy: every item
+  /// for exact, the TopCells -> GatherCandidates list for ivf. Returns the
+  /// per-user rankings (single user) and fills `scores` /
+  /// `candidates_scored`.
   std::vector<std::vector<int32_t>> ScoreTopK(
       const ModelSnapshot& snap, const RecommendRequest& req,
       eval::ScoreEncoding encoding, RetrievalMode retrieval,

@@ -10,8 +10,8 @@
 //               at admission or expired while queued)
 //   snapshot    snapshot fetch + request validation
 //   cache       score-cache lookup (hits end the request here)
-//   score       rank-kernel execution (FusedScoreTopK / quant kernels),
-//               including the popularity fallback when degraded
+//   score       rank traversal (eval::ScoreTopK, any encoding) plus the
+//               ivf probe, or the popularity fallback when degraded
 //   serialize   response JSON construction + write (filled by the driver)
 //
 // Stage values are durations in microseconds over obs::NowMicros()'s
@@ -27,7 +27,7 @@
 #include <cstdint>
 #include <string>
 
-#include "eval/quant_kernel.h"
+#include "eval/fused_rank.h"
 #include "serve/item_index.h"
 #include "serve/overload.h"
 #include "util/status.h"

@@ -32,7 +32,7 @@ util::StatusOr<std::shared_ptr<const ModelSnapshot>> ModelSnapshot::Load(
 
   // Quantized copies: keep user rows row-major (one row gathered per
   // request) and transpose item rows to depth-major panels once, here, so
-  // the quantized kernels stream items with unit stride and never pay a
+  // quantized scoring streams items with unit stride and never pays a
   // per-request transpose. A dropped (corrupt / truncated / stale-shape)
   // quant section degrades this snapshot to f32-only — counted so
   // operators can see quantized serving silently disabled itself.
@@ -93,6 +93,20 @@ util::StatusOr<std::shared_ptr<const ModelSnapshot>> ModelSnapshot::Load(
 
   OBS_COUNT("serve.snapshot_loads", 1);
   return std::shared_ptr<const ModelSnapshot>(std::move(snap));
+}
+
+eval::ScoringView ModelSnapshot::scoring(eval::ScoreEncoding encoding) const {
+  switch (encoding) {
+    case eval::ScoreEncoding::kInt8:
+      LAYERGCN_CHECK(has_int8_) << "snapshot carries no int8 copy";
+      return eval::Int8Scoring{&user_int8_, &item_int8_panel_};
+    case eval::ScoreEncoding::kBf16:
+      LAYERGCN_CHECK(has_bf16_) << "snapshot carries no bf16 copy";
+      return eval::Bf16Scoring{&user_bf16_, &item_bf16_panel_};
+    case eval::ScoreEncoding::kF32:
+      break;
+  }
+  return eval::F32Scoring{&user_emb_, &item_emb_};
 }
 
 std::string SnapshotStore::SnapshotPath(const std::string& dir,

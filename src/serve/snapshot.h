@@ -26,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "eval/fused_rank.h"
 #include "serve/item_index.h"
 #include "tensor/matrix.h"
 #include "tensor/quant.h"
@@ -62,8 +63,8 @@ class ModelSnapshot {
 
   /// Quantized embedding copies, present when the serving export carried
   /// valid int8 / bf16 sections. Item sides are pre-transposed to
-  /// depth-major panels at load time so the quantized kernels do zero
-  /// per-request data movement. A snapshot whose quant sections were
+  /// depth-major panels at load time so quantized scoring does no
+  /// per-request transpose. A snapshot whose quant sections were
   /// corrupt or absent simply reports has_int8()/has_bf16() == false and
   /// serves from the f32 reference.
   bool has_int8() const { return has_int8_; }
@@ -72,6 +73,10 @@ class ModelSnapshot {
   const tensor::Int8Panel& item_int8_panel() const { return item_int8_panel_; }
   const tensor::Bf16Rows& user_bf16() const { return user_bf16_; }
   const tensor::Bf16Panel& item_bf16_panel() const { return item_bf16_panel_; }
+
+  /// The copy `encoding` scores, as the rank traversal's view. f32 is always
+  /// present; a quantized encoding must be (has_int8() / has_bf16()).
+  eval::ScoringView scoring(eval::ScoreEncoding encoding) const;
 
   /// Sorted-ascending training items per user id (exclusion lists).
   const std::vector<std::vector<int32_t>>& user_history() const {

@@ -1,11 +1,14 @@
-// Equivalence and determinism tests for the fused score-and-rank kernel
-// (eval/fused_rank.h) against the naive materialize-then-rank reference,
-// plus the single-pass MultiKMetrics helper against the per-K formulas.
+// Equivalence and determinism tests for the score-and-rank traversal
+// (eval/fused_rank.h): the f32 path against the naive materialize-then-rank
+// reference, every encoding against a scalar per-encoding oracle across
+// tile sizes and thread counts, and the deadline rule for full scans and
+// candidate lists; plus the single-pass MultiKMetrics helper against the
+// per-K formulas.
 //
-// Embeddings are drawn from a small integer lattice so every inner product
-// is exactly representable in float regardless of accumulation order or
-// FMA contraction — the comparisons below are bit-level, not tolerance
-// based, and deliberately produce many tied scores.
+// Embeddings are drawn from a small integer lattice so every f32 inner
+// product is exactly representable regardless of accumulation order or FMA
+// contraction — the comparisons below are bit-level, not tolerance based,
+// and deliberately produce many tied scores.
 
 #include "eval/fused_rank.h"
 
@@ -17,9 +20,13 @@
 #include "eval/evaluator.h"
 #include "eval/metrics.h"
 #include "gtest/gtest.h"
+#include "obs/obs.h"
 #include "tensor/matrix.h"
 #include "tensor/ops.h"
+#include "test_util.h"
+#include "util/parallel.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace layergcn::eval {
 namespace {
@@ -105,24 +112,33 @@ TEST(FusedRankTest, MatchesReferenceOnRandomBipartiteGraphs) {
 
 TEST(FusedRankTest, TileSizeInvariance) {
   util::Rng rng(11);
-  const tensor::Matrix user_emb = LatticeMatrix(50, 8, 2, &rng);
-  const tensor::Matrix item_emb = LatticeMatrix(300, 8, 2, &rng);
+  const testing::EncodedEmbeddings emb(LatticeMatrix(50, 8, 2, &rng),
+                                       LatticeMatrix(300, 8, 2, &rng));
   const auto exclude = RandomExclusions(50, 300, 0.2, &rng);
   const auto users = AllUsers(50);
 
-  FusedRankConfig reference;
-  reference.enabled = false;
-  const auto want =
-      FusedScoreTopK(user_emb, users, item_emb, 12, &exclude, reference);
-
-  for (const auto& [ut, it] : std::vector<std::pair<int64_t, int64_t>>{
-           {1, 16}, {7, 33}, {64, 1024}, {128, 100}, {50, 300}}) {
-    FusedRankConfig cfg;
-    cfg.user_tile = ut;
-    cfg.item_tile = it;
-    const auto got =
-        FusedScoreTopK(user_emb, users, item_emb, 12, &exclude, cfg);
-    ExpectSameRankings(got, want, "tile sweep");
+  for (const ScoreEncoding e : testing::kAllEncodings) {
+    std::vector<std::vector<float>> want_scores;
+    const auto want =
+        emb.OracleTopK(e, users, nullptr, 12, &exclude, &want_scores);
+    if (e == ScoreEncoding::kF32) {
+      FusedRankConfig reference;
+      reference.enabled = false;
+      ExpectSameRankings(ScoreTopK(emb.view(e), users, nullptr, 12, &exclude,
+                                   reference),
+                         want, "reference vs oracle");
+    }
+    for (const auto& [ut, it] : std::vector<std::pair<int64_t, int64_t>>{
+             {1, 16}, {7, 33}, {64, 1024}, {128, 100}, {50, 300}}) {
+      FusedRankConfig cfg;
+      cfg.user_tile = ut;
+      cfg.item_tile = it;
+      std::vector<std::vector<float>> scores;
+      const auto got = ScoreTopK(emb.view(e), users, nullptr, 12, &exclude,
+                                 cfg, nullptr, &scores);
+      ExpectSameRankings(got, want, ScoreEncodingName(e));
+      EXPECT_EQ(scores, want_scores) << ScoreEncodingName(e);
+    }
   }
 }
 
@@ -140,22 +156,59 @@ TEST(FusedRankTest, FullyExcludedUserGetsEmptyRanking) {
 
 TEST(FusedRankTest, DeterministicAcrossThreadCounts) {
   util::Rng rng(17);
-  const tensor::Matrix user_emb = LatticeMatrix(120, 16, 2, &rng);
-  const tensor::Matrix item_emb = LatticeMatrix(700, 16, 2, &rng);
+  const testing::EncodedEmbeddings emb(LatticeMatrix(120, 16, 2, &rng),
+                                       LatticeMatrix(700, 16, 2, &rng));
   const auto exclude = RandomExclusions(120, 700, 0.15, &rng);
   const auto users = AllUsers(120);
+  FusedRankConfig cfg;
+  cfg.user_tile = 16;  // several tiles per worker
+  cfg.item_tile = 128;
 
-  std::vector<std::vector<std::vector<int32_t>>> results;
-  for (int threads : {1, 2, 8}) {
-    FusedRankConfig cfg;
-    cfg.num_threads = threads;
-    cfg.user_tile = 16;  // several tiles per worker
-    cfg.item_tile = 128;
-    results.push_back(
-        FusedScoreTopK(user_emb, users, item_emb, 20, &exclude, cfg));
+  for (const ScoreEncoding e : testing::kAllEncodings) {
+    const int threads[] = {1, 2, 8};
+    std::vector<std::vector<std::vector<int32_t>>> results(3);
+    std::vector<std::vector<std::vector<float>>> scores(3);
+    for (size_t t = 0; t < 3; ++t) {
+      util::ThreadPool pool(threads[t]);
+      util::parallel::ScopedComputePool scoped(&pool);
+      results[t] = ScoreTopK(emb.view(e), users, nullptr, 20, &exclude, cfg,
+                             nullptr, &scores[t]);
+    }
+    ExpectSameRankings(results[1], results[0], ScoreEncodingName(e));
+    ExpectSameRankings(results[2], results[0], ScoreEncodingName(e));
+    EXPECT_EQ(scores[1], scores[0]) << ScoreEncodingName(e);
+    EXPECT_EQ(scores[2], scores[0]) << ScoreEncodingName(e);
   }
-  ExpectSameRankings(results[1], results[0], "2 vs 1 threads");
-  ExpectSameRankings(results[2], results[0], "8 vs 1 threads");
+}
+
+// A deadline already spent when the call starts ranks nothing, for every
+// encoding and for full scans and candidate lists alike: the clock is read
+// before the first user tile.
+TEST(FusedRankTest, ExpiredDeadlineRanksNothing) {
+  util::Rng rng(19);
+  const testing::EncodedEmbeddings emb(LatticeMatrix(1, 8, 2, &rng),
+                                       LatticeMatrix(64, 8, 2, &rng));
+  std::vector<int32_t> evens;
+  for (int32_t j = 0; j < 64; j += 2) evens.push_back(j);
+  const std::vector<int32_t>* const scans[] = {nullptr, &evens};
+  while (obs::NowMicros() <= 1) {
+  }
+
+  for (const ScoreEncoding e : testing::kAllEncodings) {
+    for (const std::vector<int32_t>* candidates : scans) {
+      RankDeadline deadline;
+      deadline.deadline_us = 1;  // already past
+      std::vector<std::vector<float>> scores;
+      const auto ranked = ScoreTopK(emb.view(e), {0}, candidates, 10,
+                                    nullptr, {}, &deadline, &scores);
+      ASSERT_EQ(ranked.size(), 1u);
+      EXPECT_TRUE(ranked[0].empty())
+          << ScoreEncodingName(e) << (candidates ? " subset" : " all items");
+      EXPECT_TRUE(scores[0].empty());
+      EXPECT_TRUE(deadline.expired.load())
+          << ScoreEncodingName(e) << (candidates ? " subset" : " all items");
+    }
+  }
 }
 
 TEST(MultiKMetricsTest, MatchesPerKFormulas) {

@@ -265,7 +265,6 @@ TEST_F(OverloadTest, CapacityEvictsLowestClassNewestFirst) {
 
   RecommendServiceOptions opt;
   opt.queue_capacity = 3;
-  opt.rank.num_threads = 1;
   {
     RecommendService service(&store, opt);
     const obs::MetricsSnapshot before =
@@ -356,7 +355,6 @@ TEST_F(OverloadTest, SubmitStormRacesAdaptationBrownoutAndHotSwap) {
 
   RecommendServiceOptions opt;
   opt.queue_capacity = 16;
-  opt.rank.num_threads = 1;
   opt.overload.adaptive = true;
   opt.overload.limiter.initial_limit = 4;
   opt.overload.limiter.max_limit = 16;

@@ -1,7 +1,8 @@
-// Quantized storage + kernel suite: int8 round-trip error bounds, bf16
-// round-trip relative error, kernel-vs-scalar-reference ranking parity,
-// and the per-encoding determinism contract (bit-identical rankings at 1
-// and 8 threads and across tile shapes).
+// Quantized storage + scoring suite: int8 round-trip error bounds, bf16
+// round-trip relative error, traversal-vs-scalar-reference ranking parity
+// for the quantized encodings, and the per-encoding determinism contract
+// (bit-identical rankings at 1 and 8 threads and across tile shapes, for
+// every encoding).
 
 #include <algorithm>
 #include <cmath>
@@ -11,10 +12,12 @@
 
 #include "gtest/gtest.h"
 #include "eval/fused_rank.h"
-#include "eval/quant_kernel.h"
 #include "tensor/matrix.h"
 #include "tensor/quant.h"
+#include "test_util.h"
+#include "util/parallel.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace layergcn {
 namespace {
@@ -111,36 +114,16 @@ TEST(QuantKernelTest, ScoreEncodingNamesRoundTrip) {
   EXPECT_FALSE(eval::ParseScoreEncoding("", &unused));
 }
 
-// Scalar oracle: full scores per user, exclusions skipped, ranked by
-// (score desc, id asc) — the kernels' documented total order.
-std::vector<int32_t> ScalarTopK(const std::vector<float>& scores,
-                                const std::vector<int32_t>& exclude, int k) {
-  std::vector<int32_t> ids;
-  for (int32_t i = 0; i < static_cast<int32_t>(scores.size()); ++i) {
-    if (!std::binary_search(exclude.begin(), exclude.end(), i)) {
-      ids.push_back(i);
-    }
-  }
-  std::sort(ids.begin(), ids.end(), [&](int32_t a, int32_t b) {
-    const float sa = scores[static_cast<size_t>(a)];
-    const float sb = scores[static_cast<size_t>(b)];
-    return sa != sb ? sa > sb : a < b;
-  });
-  if (static_cast<int>(ids.size()) > k) ids.resize(static_cast<size_t>(k));
-  return ids;
-}
-
 struct QuantFixture {
   int32_t num_users = 23;
   int32_t num_items = 157;  // deliberately not a tile multiple
   int64_t dim = 19;
-  tensor::Matrix user_emb, item_emb;
+  testing::EncodedEmbeddings emb{RandomMatrix(num_users, dim, 11),
+                                 RandomMatrix(num_items, dim, 22)};
   std::vector<std::vector<int32_t>> history;
   std::vector<int32_t> user_ids;
 
   QuantFixture() {
-    user_emb = RandomMatrix(num_users, dim, 11);
-    item_emb = RandomMatrix(num_items, dim, 22);
     history.resize(static_cast<size_t>(num_users));
     for (int32_t u = 0; u < num_users; ++u) {
       for (int32_t i = u % 7; i < num_items; i += 7 + u % 5) {
@@ -151,96 +134,43 @@ struct QuantFixture {
   }
 };
 
-TEST(QuantKernelTest, Int8MatchesScalarReferenceExactly) {
+// The traversal reproduces the scalar reference exactly — rankings and
+// score bits: int8 accumulates the integer dot exactly in int32 (which
+// cannot overflow at 127^2 * dim), bf16 accumulates widened products in
+// ascending depth order.
+TEST(QuantKernelTest, QuantMatchesScalarReferenceExactly) {
   const QuantFixture f;
-  const tensor::Int8Rows uq = tensor::QuantizeInt8PerRow(f.user_emb);
-  const tensor::Int8Rows iq = tensor::QuantizeInt8PerRow(f.item_emb);
-  const tensor::Int8Panel panel = tensor::TransposeToPanel(iq);
-
-  std::vector<std::vector<float>> kernel_scores;
-  const auto ranked = eval::QuantScoreTopKInt8(
-      uq, f.user_ids, panel, 10, &f.history, {}, nullptr, &kernel_scores);
-
-  for (int32_t u = 0; u < f.num_users; ++u) {
-    std::vector<float> scores(static_cast<size_t>(f.num_items));
-    for (int32_t i = 0; i < f.num_items; ++i) {
-      // The oracle accumulates the integer dot exactly, as the kernel
-      // contract promises (int32 cannot overflow at 127^2 * dim).
-      int32_t acc = 0;
-      for (int64_t p = 0; p < f.dim; ++p) {
-        acc += static_cast<int32_t>(uq.row(u)[p]) *
-               static_cast<int32_t>(iq.row(i)[p]);
-      }
-      scores[static_cast<size_t>(i)] = uq.scales[static_cast<size_t>(u)] *
-                                       iq.scales[static_cast<size_t>(i)] *
-                                       static_cast<float>(acc);
-    }
-    const std::vector<int32_t> expect =
-        ScalarTopK(scores, f.history[static_cast<size_t>(u)], 10);
-    ASSERT_EQ(ranked[static_cast<size_t>(u)], expect) << "user " << u;
-    for (size_t j = 0; j < expect.size(); ++j) {
-      EXPECT_EQ(kernel_scores[static_cast<size_t>(u)][j],
-                scores[static_cast<size_t>(expect[j])]);
-    }
-  }
-}
-
-TEST(QuantKernelTest, Bf16MatchesScalarReferenceExactly) {
-  const QuantFixture f;
-  const tensor::Bf16Rows uq = tensor::ToBf16Rows(f.user_emb);
-  const tensor::Bf16Rows iq = tensor::ToBf16Rows(f.item_emb);
-  const tensor::Bf16Panel panel = tensor::TransposeToPanel(iq);
-
-  const auto ranked = eval::QuantScoreTopKBf16(uq, f.user_ids, panel, 10,
-                                               &f.history, {});
-
-  for (int32_t u = 0; u < f.num_users; ++u) {
-    std::vector<float> scores(static_cast<size_t>(f.num_items));
-    for (int32_t i = 0; i < f.num_items; ++i) {
-      // Ascending-depth f32 accumulation — the kernel's documented order.
-      float acc = 0.f;
-      for (int64_t p = 0; p < f.dim; ++p) {
-        acc += tensor::Bf16ToF32(uq.row(u)[p]) *
-               tensor::Bf16ToF32(iq.row(i)[p]);
-      }
-      scores[static_cast<size_t>(i)] = acc;
-    }
-    const std::vector<int32_t> expect =
-        ScalarTopK(scores, f.history[static_cast<size_t>(u)], 10);
-    ASSERT_EQ(ranked[static_cast<size_t>(u)], expect) << "user " << u;
+  for (const eval::ScoreEncoding e :
+       {eval::ScoreEncoding::kInt8, eval::ScoreEncoding::kBf16}) {
+    std::vector<std::vector<float>> scores, want_scores;
+    const auto ranked = eval::ScoreTopK(f.emb.view(e), f.user_ids, nullptr,
+                                        10, &f.history, {}, nullptr, &scores);
+    const auto want = f.emb.OracleTopK(e, f.user_ids, nullptr, 10, &f.history,
+                                       &want_scores);
+    EXPECT_EQ(ranked, want) << eval::ScoreEncodingName(e);
+    EXPECT_EQ(scores, want_scores) << eval::ScoreEncodingName(e);
   }
 }
 
 TEST(QuantKernelTest, RankingsBitIdenticalAcrossThreadsAndTiles) {
   const QuantFixture f;
-  const tensor::Int8Rows uq8 = tensor::QuantizeInt8PerRow(f.user_emb);
-  const tensor::Int8Panel ip8 =
-      tensor::TransposeToPanel(tensor::QuantizeInt8PerRow(f.item_emb));
-  const tensor::Bf16Rows uq16 = tensor::ToBf16Rows(f.user_emb);
-  const tensor::Bf16Panel ip16 =
-      tensor::TransposeToPanel(tensor::ToBf16Rows(f.item_emb));
-
-  eval::FusedRankConfig base;
-  base.num_threads = 1;
-  const auto int8_base = eval::QuantScoreTopKInt8(uq8, f.user_ids, ip8, 10,
-                                                  &f.history, base);
-  const auto bf16_base = eval::QuantScoreTopKBf16(uq16, f.user_ids, ip16, 10,
-                                                  &f.history, base);
-  for (const int threads : {1, 8}) {
-    for (const int64_t item_tile : {16, 64, 1024}) {
-      for (const int64_t user_tile : {1, 5, 64}) {
-        eval::FusedRankConfig cfg;
-        cfg.num_threads = threads;
-        cfg.item_tile = item_tile;
-        cfg.user_tile = user_tile;
-        EXPECT_EQ(eval::QuantScoreTopKInt8(uq8, f.user_ids, ip8, 10,
-                                           &f.history, cfg),
-                  int8_base)
-            << threads << " threads, tile " << user_tile << "x" << item_tile;
-        EXPECT_EQ(eval::QuantScoreTopKBf16(uq16, f.user_ids, ip16, 10,
-                                           &f.history, cfg),
-                  bf16_base)
-            << threads << " threads, tile " << user_tile << "x" << item_tile;
+  for (const eval::ScoreEncoding e : testing::kAllEncodings) {
+    const auto base =
+        eval::ScoreTopK(f.emb.view(e), f.user_ids, nullptr, 10, &f.history);
+    for (const int threads : {1, 8}) {
+      util::ThreadPool pool(threads);
+      util::parallel::ScopedComputePool scoped(&pool);
+      for (const int64_t item_tile : {16, 64, 1024}) {
+        for (const int64_t user_tile : {1, 5, 64}) {
+          eval::FusedRankConfig cfg;
+          cfg.item_tile = item_tile;
+          cfg.user_tile = user_tile;
+          EXPECT_EQ(eval::ScoreTopK(f.emb.view(e), f.user_ids, nullptr, 10,
+                                    &f.history, cfg),
+                    base)
+              << eval::ScoreEncodingName(e) << ", " << threads
+              << " threads, tile " << user_tile << "x" << item_tile;
+        }
       }
     }
   }
@@ -249,18 +179,12 @@ TEST(QuantKernelTest, RankingsBitIdenticalAcrossThreadsAndTiles) {
 TEST(QuantKernelTest, QuantTopKOverlapsF32TopK) {
   const QuantFixture f;
   const int k = 20;
-  eval::FusedRankConfig cfg;
-  cfg.num_threads = 1;
-  const auto f32 = eval::FusedScoreTopK(f.user_emb, f.user_ids, f.item_emb,
-                                        k, &f.history, cfg);
-  const auto int8 = eval::QuantScoreTopKInt8(
-      tensor::QuantizeInt8PerRow(f.user_emb), f.user_ids,
-      tensor::TransposeToPanel(tensor::QuantizeInt8PerRow(f.item_emb)), k,
-      &f.history, cfg);
-  const auto bf16 = eval::QuantScoreTopKBf16(
-      tensor::ToBf16Rows(f.user_emb), f.user_ids,
-      tensor::TransposeToPanel(tensor::ToBf16Rows(f.item_emb)), k,
-      &f.history, cfg);
+  const auto rank = [&](eval::ScoreEncoding e) {
+    return eval::ScoreTopK(f.emb.view(e), f.user_ids, nullptr, k, &f.history);
+  };
+  const auto f32 = rank(eval::ScoreEncoding::kF32);
+  const auto int8 = rank(eval::ScoreEncoding::kInt8);
+  const auto bf16 = rank(eval::ScoreEncoding::kBf16);
 
   auto mean_overlap = [&](const std::vector<std::vector<int32_t>>& other) {
     double total = 0.0;
@@ -284,13 +208,10 @@ TEST(QuantKernelTest, QuantTopKOverlapsF32TopK) {
 
 TEST(QuantKernelTest, EmptyUsersAndKLargerThanItems) {
   const QuantFixture f;
-  const tensor::Int8Rows uq = tensor::QuantizeInt8PerRow(f.user_emb);
-  const tensor::Int8Panel panel =
-      tensor::TransposeToPanel(tensor::QuantizeInt8PerRow(f.item_emb));
-  EXPECT_TRUE(eval::QuantScoreTopKInt8(uq, {}, panel, 10, nullptr, {})
-                  .empty());
-  const auto all = eval::QuantScoreTopKInt8(uq, {0}, panel,
-                                            f.num_items + 50, nullptr, {});
+  const eval::ScoringView view = f.emb.view(eval::ScoreEncoding::kInt8);
+  EXPECT_TRUE(eval::ScoreTopK(view, {}, nullptr, 10, nullptr).empty());
+  const auto all =
+      eval::ScoreTopK(view, {0}, nullptr, f.num_items + 50, nullptr);
   EXPECT_EQ(all[0].size(), static_cast<size_t>(f.num_items));
 }
 

@@ -1,9 +1,10 @@
 // Two-stage retrieval suite: ItemIndex build determinism across thread
-// counts, subset-kernel parity against the full-scan kernels for all three
+// counts, candidate-list parity against the full scan for all three
 // encodings, candidate edge cases (empty cells, nprobe >= cells, K larger
 // than the candidate pool), index-build failure falling back to exact
 // retrieval, and the score cache keying on retrieval mode.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -13,13 +14,12 @@
 
 #include "gtest/gtest.h"
 #include "eval/fused_rank.h"
-#include "eval/quant_kernel.h"
 #include "obs/metrics.h"
 #include "serve/item_index.h"
 #include "serve/recommend_service.h"
 #include "serve/snapshot.h"
 #include "tensor/matrix.h"
-#include "tensor/quant.h"
+#include "test_util.h"
 #include "train/checkpoint.h"
 #include "util/fault_injection.h"
 #include "util/parallel.h"
@@ -185,119 +185,60 @@ TEST_F(RetrievalTest, BuildRejectsEmptyAndNonFinite) {
   EXPECT_EQ(built.status().code(), util::StatusCode::kDataLoss);
 }
 
-// --------------------------------------------------------- subset kernels
+// ------------------------------------------------------- candidate lists
 
-// With candidates = every item, the subset kernel must reproduce the full
-// kernel's rankings AND score bits exactly — the contract the two-stage
-// re-rank rests on.
-TEST_F(RetrievalTest, SubsetParityF32AllItems) {
-  const tensor::Matrix users = RandomMatrix(12, 24, 0x100);
-  const tensor::Matrix items = RandomMatrix(200, 24, 0x101);
+// A candidate list must produce the full scan's ranking filtered to the
+// candidates — same relative order, same score bits — for every encoding,
+// with the whole item space as candidates (the ranking then equals the
+// full scan outright) and with a strict subset.
+TEST_F(RetrievalTest, SubsetParityEveryEncoding) {
+  const testing::EncodedEmbeddings emb(RandomMatrix(12, 24, 0x100),
+                                       RandomMatrix(200, 24, 0x101));
   std::vector<int32_t> user_ids;
-  for (int32_t u = 0; u < 12; ++u) user_ids.push_back(u);
+  for (int32_t u = 0; u < 12; u += 2) user_ids.push_back(u);
   std::vector<std::vector<int32_t>> exclude(12);
   for (int32_t u = 0; u < 12; ++u) exclude[u] = {u, u + 50, u + 100};
-  std::vector<int32_t> all_items;
-  for (int32_t j = 0; j < 200; ++j) all_items.push_back(j);
+  std::vector<int32_t> all_items, every_third;
+  for (int32_t j = 0; j < 200; ++j) {
+    all_items.push_back(j);
+    if (j % 3 == 0) every_third.push_back(j);
+  }
 
   for (const int threads : {1, 8}) {
     util::ThreadPool pool(threads);
     util::parallel::ScopedComputePool scoped(&pool);
-    eval::FusedRankConfig config;
-    config.enabled = true;
-    std::vector<std::vector<float>> full_scores, subset_scores;
-    const auto full = eval::FusedScoreTopK(users, user_ids, items, 20,
-                                           &exclude, config, nullptr,
-                                           &full_scores);
-    const auto subset = eval::FusedScoreTopKSubset(
-        users, user_ids, items, all_items, 20, &exclude, config, nullptr,
-        &subset_scores);
-    ASSERT_EQ(subset, full) << "rankings diverge at " << threads
-                            << " threads";
-    for (size_t u = 0; u < full_scores.size(); ++u) {
-      for (size_t r = 0; r < full_scores[u].size(); ++r) {
-        EXPECT_EQ(subset_scores[u][r], full_scores[u][r])
-            << "score bits diverge user " << u << " rank " << r;
+    for (const eval::ScoreEncoding e : testing::kAllEncodings) {
+      std::vector<std::vector<float>> full_scores;
+      const auto full = eval::ScoreTopK(emb.view(e), user_ids, nullptr, 200,
+                                        &exclude, {}, nullptr, &full_scores);
+      for (const std::vector<int32_t>* candidates : {&all_items,
+                                                     &every_third}) {
+        std::vector<std::vector<float>> subset_scores;
+        const auto subset =
+            eval::ScoreTopK(emb.view(e), user_ids, candidates, 20, &exclude,
+                            {}, nullptr, &subset_scores);
+        ASSERT_EQ(subset.size(), user_ids.size());
+        for (size_t u = 0; u < user_ids.size(); ++u) {
+          std::vector<int32_t> expect_items;
+          std::vector<float> expect_scores;
+          for (size_t r = 0;
+               r < full[u].size() && expect_items.size() < 20; ++r) {
+            if (std::binary_search(candidates->begin(), candidates->end(),
+                                   full[u][r])) {
+              expect_items.push_back(full[u][r]);
+              expect_scores.push_back(full_scores[u][r]);
+            }
+          }
+          EXPECT_EQ(subset[u], expect_items)
+              << eval::ScoreEncodingName(e) << ", " << candidates->size()
+              << " candidates, " << threads << " threads, user row " << u;
+          EXPECT_EQ(subset_scores[u], expect_scores)
+              << eval::ScoreEncodingName(e) << ", " << candidates->size()
+              << " candidates, " << threads << " threads, user row " << u;
+        }
       }
     }
   }
-}
-
-// A strict candidate subset must produce the full ranking filtered to the
-// candidate set (same relative order, same score bits).
-TEST_F(RetrievalTest, SubsetParityF32StrictSubset) {
-  const tensor::Matrix users = RandomMatrix(6, 16, 0x200);
-  const tensor::Matrix items = RandomMatrix(150, 16, 0x201);
-  std::vector<int32_t> user_ids{0, 2, 5};
-  std::vector<int32_t> candidates;
-  for (int32_t j = 0; j < 150; j += 3) candidates.push_back(j);  // every 3rd
-
-  eval::FusedRankConfig config;
-  config.enabled = true;
-  std::vector<std::vector<float>> full_scores, subset_scores;
-  const auto full = eval::FusedScoreTopK(users, user_ids, items, 150,
-                                         nullptr, config, nullptr,
-                                         &full_scores);
-  const auto subset = eval::FusedScoreTopKSubset(
-      users, user_ids, items, candidates, 20, nullptr, config, nullptr,
-      &subset_scores);
-  for (size_t u = 0; u < user_ids.size(); ++u) {
-    std::vector<int32_t> expect_items;
-    std::vector<float> expect_scores;
-    for (size_t r = 0;
-         r < full[u].size() && expect_items.size() < 20; ++r) {
-      if (full[u][r] % 3 == 0) {
-        expect_items.push_back(full[u][r]);
-        expect_scores.push_back(full_scores[u][r]);
-      }
-    }
-    EXPECT_EQ(subset[u], expect_items);
-    EXPECT_EQ(subset_scores[u], expect_scores);
-  }
-}
-
-TEST_F(RetrievalTest, SubsetParityInt8AllItems) {
-  const tensor::Matrix users = RandomMatrix(8, 32, 0x300);
-  const tensor::Matrix items = RandomMatrix(120, 32, 0x301);
-  const tensor::Int8Rows user_q = tensor::QuantizeInt8PerRow(users);
-  const tensor::Int8Panel panel =
-      tensor::TransposeToPanel(tensor::QuantizeInt8PerRow(items));
-  std::vector<int32_t> user_ids{0, 3, 7};
-  std::vector<std::vector<int32_t>> exclude(8);
-  exclude[3] = {10, 20, 30};
-  std::vector<int32_t> all_items;
-  for (int32_t j = 0; j < 120; ++j) all_items.push_back(j);
-
-  std::vector<std::vector<float>> full_scores, subset_scores;
-  const auto full = eval::QuantScoreTopKInt8(user_q, user_ids, panel, 15,
-                                             &exclude, {}, nullptr,
-                                             &full_scores);
-  const auto subset = eval::QuantScoreTopKInt8Subset(
-      user_q, user_ids, panel, all_items, 15, &exclude, {}, nullptr,
-      &subset_scores);
-  EXPECT_EQ(subset, full);
-  EXPECT_EQ(subset_scores, full_scores);
-}
-
-TEST_F(RetrievalTest, SubsetParityBf16AllItems) {
-  const tensor::Matrix users = RandomMatrix(8, 32, 0x400);
-  const tensor::Matrix items = RandomMatrix(120, 32, 0x401);
-  const tensor::Bf16Rows user_q = tensor::ToBf16Rows(users);
-  const tensor::Bf16Panel panel =
-      tensor::TransposeToPanel(tensor::ToBf16Rows(items));
-  std::vector<int32_t> user_ids{1, 4};
-  std::vector<int32_t> all_items;
-  for (int32_t j = 0; j < 120; ++j) all_items.push_back(j);
-
-  std::vector<std::vector<float>> full_scores, subset_scores;
-  const auto full = eval::QuantScoreTopKBf16(user_q, user_ids, panel, 15,
-                                             nullptr, {}, nullptr,
-                                             &full_scores);
-  const auto subset = eval::QuantScoreTopKBf16Subset(
-      user_q, user_ids, panel, all_items, 15, nullptr, {}, nullptr,
-      &subset_scores);
-  EXPECT_EQ(subset, full);
-  EXPECT_EQ(subset_scores, full_scores);
 }
 
 TEST_F(RetrievalTest, SubsetKLargerThanCandidatePool) {
@@ -308,10 +249,8 @@ TEST_F(RetrievalTest, SubsetKLargerThanCandidatePool) {
   std::vector<std::vector<int32_t>> exclude(2);
   exclude[1] = {17};
 
-  eval::FusedRankConfig config;
-  config.enabled = true;
-  const auto ranked = eval::FusedScoreTopKSubset(
-      users, user_ids, items, candidates, 10, &exclude, config);
+  const auto ranked = eval::ScoreTopK(eval::F32Scoring{&users, &items},
+                                      user_ids, &candidates, 10, &exclude);
   ASSERT_EQ(ranked.size(), 2u);
   EXPECT_EQ(ranked[0].size(), 3u);  // K = 10, only 3 candidates
   EXPECT_EQ(ranked[1].size(), 2u);  // one candidate excluded

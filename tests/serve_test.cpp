@@ -191,10 +191,10 @@ TEST_F(ServeTest, NoSnapshotIsFailedPrecondition) {
 
 TEST_F(ServeTest, DeadlineExpiryMidBlockReturnsPartialPrefix) {
   const std::string dir = TempDirFor("serve_deadline");
-  // 64 items, item_tile 16 (the GEMM panel minimum) => 4 blocks; the armed
-  // slow-score stall burns the whole budget inside the first block, so the
-  // kernel stops at the first block boundary and only items [0, 16) were
-  // ever scored.
+  // 64 items, item_tile 16 (the GEMM panel minimum) => 4 runs; the armed
+  // slow-score stall burns the whole budget inside the first run, so the
+  // traversal stops at the first run boundary and only items [0, 16) were
+  // ever scored — in every encoding, since they share the traversal.
   train::ServingExport ex;
   ex.version = 1;
   ex.user_emb = tensor::Matrix(4, 8);
@@ -203,29 +203,37 @@ TEST_F(ServeTest, DeadlineExpiryMidBlockReturnsPartialPrefix) {
   ex.user_emb.UniformInit(&rng, -1.f, 1.f);
   ex.item_emb.UniformInit(&rng, -1.f, 1.f);
   ex.user_history.assign(4, {});
+  ex.write_int8 = true;
+  ex.write_bf16 = true;
   ASSERT_TRUE(
       train::SaveServingExport(SnapshotStore::SnapshotPath(dir, 1), ex).ok());
 
   SnapshotStore store(dir);
   ASSERT_TRUE(store.Reload().ok());
-  RecommendServiceOptions opt;
-  opt.rank.item_tile = 16;
-  opt.rank.num_threads = 1;
-  RecommendService service(&store, opt);
+  for (const eval::ScoreEncoding encoding :
+       {eval::ScoreEncoding::kF32, eval::ScoreEncoding::kInt8,
+        eval::ScoreEncoding::kBf16}) {
+    SCOPED_TRACE(eval::ScoreEncodingName(encoding));
+    RecommendServiceOptions opt;
+    opt.rank.item_tile = 16;
+    opt.encoding = encoding;
+    RecommendService service(&store, opt);
 
-  // The stall fires after the first tile and spins until deadline + 1ms,
-  // so any budget produces the same partial prefix — size it generously
-  // enough that sanitizer-slowed pre-kernel setup cannot eat the whole
-  // budget before the first tile is scored.
-  util::fault::Arm("serve.slow_score");
-  const auto r = service.Recommend({0, 16, /*budget_us=*/100'000});
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_TRUE(r.value().partial);
-  ASSERT_FALSE(r.value().items.empty());
-  EXPECT_LE(r.value().items.size(), 16u);
-  for (const ScoredItem& it : r.value().items) {
-    EXPECT_GE(it.item, 0);
-    EXPECT_LT(it.item, 16);
+    // The stall fires before the first run and spins until deadline + 1ms,
+    // so any budget produces the same partial prefix — size it generously
+    // enough that sanitizer-slowed pre-kernel setup cannot eat the whole
+    // budget before the first run is scored.
+    util::fault::Arm("serve.slow_score");
+    const auto r = service.Recommend({0, 16, /*budget_us=*/100'000});
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r.value().encoding, encoding);
+    EXPECT_TRUE(r.value().partial);
+    ASSERT_FALSE(r.value().items.empty());
+    EXPECT_LE(r.value().items.size(), 16u);
+    for (const ScoredItem& it : r.value().items) {
+      EXPECT_GE(it.item, 0);
+      EXPECT_LT(it.item, 16);
+    }
   }
 }
 
@@ -265,7 +273,6 @@ TEST_F(ServeTest, QueueOverflowShedsWithResourceExhausted) {
 
   RecommendServiceOptions opt;
   opt.queue_capacity = 2;
-  opt.rank.num_threads = 1;  // dedicated kernel pool; never our blocked one
   {
     RecommendService service(&store, opt);
     auto f1 = service.Submit({0, 3, 0});
@@ -309,7 +316,6 @@ TEST_F(ServeTest, BudgetExpiredWhileQueuedShedsAtDequeueNeverScored) {
   });
 
   RecommendServiceOptions opt;
-  opt.rank.num_threads = 1;
   {
     RecommendService service(&store, opt);
     const obs::MetricsSnapshot before =
@@ -444,19 +450,17 @@ TEST_F(ServeTest, TopKBitIdenticalToEvaluatorKernelAt1And8Threads) {
 
   std::vector<std::vector<ScoredItem>> per_thread_results;
   for (const int threads : {1, 8}) {
-    eval::FusedRankConfig cfg;
-    cfg.num_threads = threads;
+    util::ThreadPool pool(threads);
+    util::parallel::ScopedComputePool scoped(&pool);
     // The Evaluator's ranking for these embeddings: the fused kernel over
     // every user with training items excluded (Evaluator::RankUsers makes
     // exactly this call).
     std::vector<std::vector<float>> ref_scores;
     const std::vector<std::vector<int32_t>> reference = eval::FusedScoreTopK(
-        ex.user_emb, all_users, ex.item_emb, k, &ex.user_history, cfg,
+        ex.user_emb, all_users, ex.item_emb, k, &ex.user_history, {},
         /*deadline=*/nullptr, &ref_scores);
 
-    RecommendServiceOptions opt;
-    opt.rank.num_threads = threads;
-    RecommendService service(&store, opt);
+    RecommendService service(&store);
     std::vector<ScoredItem> flat;
     for (int32_t u = 0; u < num_users; ++u) {
       const auto r = service.Recommend({u, k, 0});

@@ -1,20 +1,25 @@
 // Shared helpers for the unit tests: random matrices, numerical gradient
-// checking against the autograd engine, and tiny fixture datasets.
+// checking against the autograd engine, tiny fixture datasets, and an
+// embedding pair in every scoring encoding with a scalar ranking oracle.
 
 #ifndef LAYERGCN_TESTS_TEST_UTIL_H_
 #define LAYERGCN_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "autograd/ops.h"
 #include "autograd/tape.h"
 #include "data/dataset.h"
 #include "data/split.h"
+#include "eval/fused_rank.h"
 #include "gtest/gtest.h"
 #include "tensor/matrix.h"
+#include "tensor/quant.h"
 #include "util/rng.h"
 
 namespace layergcn::testing {
@@ -135,6 +140,108 @@ inline ag::Var RefinedChain(const sparse::CsrMatrix* adj, ag::Var x0,
   }
   return ag::AddN(layers);
 }
+
+/// Every scoring encoding, for tests that take the encoding as an input.
+inline constexpr eval::ScoreEncoding kAllEncodings[] = {
+    eval::ScoreEncoding::kF32, eval::ScoreEncoding::kInt8,
+    eval::ScoreEncoding::kBf16};
+
+/// One (users, items) embedding pair in every encoding, as a snapshot load
+/// holds it: the f32 matrices, the quantized row-major copies, and the
+/// depth-major quantized item panels the traversal reads.
+struct EncodedEmbeddings {
+  tensor::Matrix users, items;
+  tensor::Int8Rows users_int8, items_int8;
+  tensor::Bf16Rows users_bf16, items_bf16;
+  tensor::Int8Panel panel_int8;
+  tensor::Bf16Panel panel_bf16;
+
+  EncodedEmbeddings(tensor::Matrix u, tensor::Matrix i)
+      : users(std::move(u)),
+        items(std::move(i)),
+        users_int8(tensor::QuantizeInt8PerRow(users)),
+        items_int8(tensor::QuantizeInt8PerRow(items)),
+        users_bf16(tensor::ToBf16Rows(users)),
+        items_bf16(tensor::ToBf16Rows(items)),
+        panel_int8(tensor::TransposeToPanel(items_int8)),
+        panel_bf16(tensor::TransposeToPanel(items_bf16)) {}
+
+  eval::ScoringView view(eval::ScoreEncoding e) const {
+    switch (e) {
+      case eval::ScoreEncoding::kInt8:
+        return eval::Int8Scoring{&users_int8, &panel_int8};
+      case eval::ScoreEncoding::kBf16:
+        return eval::Bf16Scoring{&users_bf16, &panel_bf16};
+      case eval::ScoreEncoding::kF32:
+        break;
+    }
+    return eval::F32Scoring{&users, &items};
+  }
+
+  /// The encoding's (user, item) score by a scalar loop over the row-major
+  /// copies: f32 and bf16 accumulate in f32 in ascending depth order, int8
+  /// accumulates the integer dot exactly and scales it once.
+  float Score(eval::ScoreEncoding e, int32_t user, int32_t item) const {
+    const int64_t depth = users.cols();
+    if (e == eval::ScoreEncoding::kInt8) {
+      int32_t acc = 0;
+      for (int64_t p = 0; p < depth; ++p) {
+        acc += static_cast<int32_t>(users_int8.row(user)[p]) *
+               static_cast<int32_t>(items_int8.row(item)[p]);
+      }
+      return users_int8.scales[static_cast<size_t>(user)] *
+             items_int8.scales[static_cast<size_t>(item)] *
+             static_cast<float>(acc);
+    }
+    float acc = 0.f;
+    for (int64_t p = 0; p < depth; ++p) {
+      acc += e == eval::ScoreEncoding::kBf16
+                 ? tensor::Bf16ToF32(users_bf16.row(user)[p]) *
+                       tensor::Bf16ToF32(items_bf16.row(item)[p])
+                 : users.row(user)[p] * items.row(item)[p];
+    }
+    return acc;
+  }
+
+  /// Scalar ranking oracle with ScoreTopK's contract: for each user, every
+  /// candidate (every item when `candidates` is null) not in the user's
+  /// sorted `exclude` list, ordered by (Score desc, id asc), cut at k.
+  /// `scores_out` receives the kept scores.
+  std::vector<std::vector<int32_t>> OracleTopK(
+      eval::ScoreEncoding e, const std::vector<int32_t>& user_ids,
+      const std::vector<int32_t>* candidates, int k,
+      const std::vector<std::vector<int32_t>>* exclude,
+      std::vector<std::vector<float>>* scores_out) const {
+    std::vector<std::vector<int32_t>> out;
+    scores_out->clear();
+    for (const int32_t u : user_ids) {
+      const std::vector<int32_t>* exc =
+          exclude != nullptr ? &(*exclude)[static_cast<size_t>(u)] : nullptr;
+      std::vector<std::pair<float, int32_t>> kept;
+      for (int32_t j = 0; j < static_cast<int32_t>(items.rows()); ++j) {
+        if ((candidates != nullptr &&
+             !std::binary_search(candidates->begin(), candidates->end(),
+                                 j)) ||
+            (exc != nullptr &&
+             std::binary_search(exc->begin(), exc->end(), j))) {
+          continue;
+        }
+        kept.emplace_back(Score(e, u, j), j);
+      }
+      std::sort(kept.begin(), kept.end(), [](const auto& a, const auto& b) {
+        return a.first != b.first ? a.first > b.first : a.second < b.second;
+      });
+      kept.resize(std::min(kept.size(), static_cast<size_t>(k)));
+      out.emplace_back();
+      scores_out->emplace_back();
+      for (const auto& [score, item] : kept) {
+        out.back().push_back(item);
+        scores_out->back().push_back(score);
+      }
+    }
+    return out;
+  }
+};
 
 /// A tiny deterministic dataset: 6 users, 5 items, hand-written
 /// chronology so the split is stable. Every user has train/valid/test
