@@ -10,8 +10,10 @@
 #include <utility>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "train/checkpoint.h"
 #include "util/fault_injection.h"
+#include "util/file_image.h"
 #include "util/logging.h"
 
 namespace layergcn::pipeline {
@@ -24,7 +26,10 @@ util::Status SnapshotPublisher::PublishOnce(const std::string& staging,
                                             int64_t version) {
   // The staged file already passed SaveServingExport; prove it parses end
   // to end (every section CRC) before it can become visible.
-  LAYERGCN_RETURN_IF_ERROR(train::ValidateCheckpoint(staging));
+  {
+    OBS_SPAN("pipeline.publish_validate");
+    LAYERGCN_RETURN_IF_ERROR(train::ValidateCheckpoint(staging));
+  }
 
   const std::string final_path =
       serve::SnapshotStore::SnapshotPath(store_->dir(), version);
@@ -32,12 +37,8 @@ util::Status SnapshotPublisher::PublishOnce(const std::string& staging,
     // Simulated crash inside the rotate step: a prefix of the export lands
     // under the final name. The store's newest-valid fallback must keep
     // readers on the previous snapshot until a retry renames over it.
-    std::ifstream in(staging, std::ios::binary | std::ios::ate);
-    const std::streamsize size = in.tellg();
-    std::string image(static_cast<size_t>(std::max<std::streamsize>(size, 0)),
-                      '\0');
-    in.seekg(0);
-    in.read(image.data(), static_cast<std::streamsize>(image.size()));
+    std::string image;
+    LAYERGCN_RETURN_IF_ERROR(util::ReadFileImage(staging, &image));
     std::ofstream torn(final_path, std::ios::binary | std::ios::trunc);
     torn.write(image.data(), static_cast<std::streamsize>(image.size() * 3 / 5));
     std::remove(staging.c_str());
@@ -48,7 +49,10 @@ util::Status SnapshotPublisher::PublishOnce(const std::string& staging,
                                   final_path);
   }
 
-  LAYERGCN_RETURN_IF_ERROR(store_->Reload());
+  {
+    OBS_SPAN("pipeline.store_reload");
+    LAYERGCN_RETURN_IF_ERROR(store_->Reload());
+  }
   const auto current = store_->current();
   if (current == nullptr || current->version() != version) {
     // Reload picked an older (or no) snapshot: what we just rotated in did
@@ -103,7 +107,10 @@ util::Status SnapshotPublisher::Publish(
     }
     OBS_COUNT("pipeline.publish.attempts", 1);
 
-    last = train::SaveServingExport(staging, ex);
+    {
+      OBS_SPAN("pipeline.export_write");
+      last = train::SaveServingExport(staging, ex);
+    }
     if (last.ok()) {
       last = PublishOnce(staging, version);
     }
@@ -128,6 +135,7 @@ void SnapshotPublisher::Prune() const {
   // Retention lives in the store (it owns the "never prune the serving
   // version" invariant and the valid-only quota); the publisher just
   // mirrors the count into its own namespace for pipeline dashboards.
+  OBS_SPAN("pipeline.retention");
   const int64_t pruned = store_->Retain(options_.keep_snapshots);
   if (pruned > 0) OBS_COUNT("pipeline.publish.pruned", pruned);
 }

@@ -10,6 +10,7 @@
 
 #include "obs/metrics.h"
 #include "obs/obs.h"
+#include "obs/trace.h"
 #include "util/crc32.h"
 #include "util/logging.h"
 #include "util/strings.h"
@@ -65,6 +66,7 @@ util::StatusOr<PipelineManifest> PipelineManifest::Load(
 }
 
 util::Status PipelineManifest::Save(const std::string& path) const {
+  OBS_SPAN("pipeline.manifest_save");
   std::ostringstream body;
   body << kManifestMagic << '\n'
        << "run_id=" << run_id << '\n'
@@ -276,7 +278,10 @@ util::Status PipelineSupervisor::TrainAndMaybePublish() {
     warm.prev_num_items = manifest_.num_items;
   }
 
-  const data::Dataset dataset = ingestor_.BuildDataset();
+  const data::Dataset dataset = [this] {
+    OBS_SPAN("pipeline.build_dataset");
+    return ingestor_.BuildDataset();
+  }();
   const auto baseline = store_->current();
   WarmStartTrainer trainer(options_.train_config);
   auto run = trainer.Run(dataset, baseline.get(), warm);

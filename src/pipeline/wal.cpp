@@ -16,6 +16,7 @@
 #include "obs/metrics.h"
 #include "util/crc32.h"
 #include "util/fault_injection.h"
+#include "util/file_image.h"
 #include "util/logging.h"
 
 namespace layergcn::pipeline {
@@ -63,17 +64,7 @@ void EncodeRecord(std::string* out, const WalRecord& r) {
 /// Reads the whole segment into memory, applying the read-side fault
 /// points (simulated disk damage) to the image, never the parser state.
 util::Status LoadSegmentImage(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in.good()) {
-    return util::NotFoundError("cannot open WAL segment " + path);
-  }
-  const std::streamsize size = in.tellg();
-  out->resize(static_cast<size_t>(size));
-  in.seekg(0);
-  if (size > 0) in.read(out->data(), size);
-  if (!in.good()) {
-    return util::UnavailableError("cannot read WAL segment " + path);
-  }
+  LAYERGCN_RETURN_IF_ERROR(util::ReadFileImage(path, out));
   if (util::fault::Fire("wal.short_read")) {
     out->resize(out->size() / 2);
   }

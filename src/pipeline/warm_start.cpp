@@ -10,6 +10,7 @@
 #include "core/layergcn.h"
 #include "eval/evaluator.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "train/checkpoint.h"
 #include "train/parameter.h"
 #include "util/logging.h"
@@ -132,9 +133,11 @@ util::StatusOr<WarmStartResult> WarmStartTrainer::Run(
   cfg.eval_every = 1;
   cfg.seed = config_.seed + static_cast<uint64_t>(options.run_id);
 
+  // Validation R@quality_k picks the epoch and is the gate's candidate
+  // score; nothing reads a test-split report, so none is asked for.
   train::TrainOptions topt;
   topt.validation_k = options.quality_k;
-  topt.report_ks = {options.quality_k};
+  topt.report_ks.clear();
   topt.checkpoint_dir = result.checkpoint_dir;
   topt.checkpoint_every = 1;
   topt.keep_checkpoints = 2;
@@ -145,6 +148,7 @@ util::StatusOr<WarmStartResult> WarmStartTrainer::Run(
       OBS_COUNT("pipeline.train.cold_starts", 1);
       return util::OkStatus();
     }
+    OBS_SPAN("pipeline.warm_carry");
     const util::Status carried = CarryState(m, dataset, cfg, options);
     if (!carried.ok()) {
       // A missing/corrupt previous checkpoint degrades to a cold start —
@@ -167,36 +171,37 @@ util::StatusOr<WarmStartResult> WarmStartTrainer::Run(
     return result.fit.status;
   }
 
-  model->PrepareEval();
+  // Fit ended with the best epoch's parameters restored and PrepareEval()ed.
   const train::EmbeddingView view = model->GetEmbeddingView();
   if (!view.valid()) {
     return util::InternalError("fine-tuned model has no embedding view");
   }
 
   // Quality gate: both contenders rank the same held-out slice. The
-  // serving snapshot is zero-padded onto the grown id space — users/items
-  // it has never seen score zero for it, exactly the gap a fresh publish
-  // is supposed to close.
-  if (dataset.num_valid() > 0) {
+  // candidate's R@K is the best epoch's validation score: Fit measured it
+  // on exactly the parameters it restored (validation_k == quality_k), so
+  // evaluating them again would return the same bits. The serving
+  // snapshot is zero-padded onto the grown id space — users/items it has
+  // never seen score zero for it, exactly the gap a fresh publish is
+  // supposed to close.
+  result.candidate_recall = result.fit.best_valid_score;
+  if (dataset.num_valid() > 0 && baseline != nullptr &&
+      baseline->dim() == view.user->cols()) {
     eval::Evaluator ev(&dataset, {options.quality_k});
-    auto recall_of = [&](const eval::RankingMetrics& m) {
-      const auto it = m.recall.find(options.quality_k);
-      return it != m.recall.end() ? it->second : 0.0;
-    };
-    result.candidate_recall = recall_of(
-        ev.Evaluate(*view.user, *view.item, eval::EvalSplit::kValidation));
-    if (baseline != nullptr && baseline->dim() == view.user->cols()) {
-      const tensor::Matrix pu =
-          PadTo(baseline->user_emb(), dataset.num_users, baseline->dim());
-      const tensor::Matrix pi =
-          PadTo(baseline->item_emb(), dataset.num_items, baseline->dim());
-      result.baseline_recall =
-          recall_of(ev.Evaluate(pu, pi, eval::EvalSplit::kValidation));
-    }
+    const tensor::Matrix pu =
+        PadTo(baseline->user_emb(), dataset.num_users, baseline->dim());
+    const tensor::Matrix pi =
+        PadTo(baseline->item_emb(), dataset.num_items, baseline->dim());
+    result.baseline_recall =
+        ev.Evaluate(pu, pi, eval::EvalSplit::kValidation)
+            .recall.at(options.quality_k);
   }
+  // A fit that validated no epoch (stopped before epoch 1 ended) has no
+  // score to stand on.
   result.gate_passed =
+      result.fit.best_epoch > 0 &&
       result.candidate_recall + 1e-12 >=
-      result.baseline_recall * (1.0 - options.max_quality_drop);
+          result.baseline_recall * (1.0 - options.max_quality_drop);
   if (!result.gate_passed) {
     OBS_COUNT("pipeline.train.quality_gate_failures", 1);
     LAYERGCN_LOG(kWarning) << "quality gate refused candidate: R@"

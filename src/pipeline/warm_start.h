@@ -13,12 +13,16 @@
 // Safety rails:
 //  - the trainer's divergence watchdog runs as usual (NaN/Inf loss →
 //    rollback to this run's last checkpoint, bounded budget);
-//  - a quality gate evaluates Recall@K of the candidate on the current
+//  - a quality gate compares Recall@K of the candidate on the current
 //    held-out slice against the *serving snapshot* (zero-padded to the
 //    grown id space so both models rank the same users) and refuses the
 //    candidate when it regresses by more than max_quality_drop —
 //    publishing a stale-but-good model beats publishing a fresh-but-worse
-//    one (counted as pipeline.train.quality_gate_failures).
+//    one (counted as pipeline.train.quality_gate_failures). The
+//    candidate's score is the fit's best validation score (the fit
+//    validates at quality_k and restores that epoch), so each cycle
+//    evaluates only the baseline; a fit that validated no epoch is
+//    refused.
 //
 // Checkpoints of run N live in <checkpoint_root>/run-NNNNNN; run N+1 warm
 // starts from run N's directory, so shapes never mix inside one manager's
@@ -70,6 +74,7 @@ struct WarmStartResult {
   bool warm_started = false;
   /// Quality-gate verdict; the caller must not publish when false.
   bool gate_passed = false;
+  /// The fit's best_valid_score: validation R@quality_k of `model`.
   double candidate_recall = 0.0;
   double baseline_recall = 0.0;
   /// Where this run checkpointed (becomes prev_checkpoint_dir next run).

@@ -13,8 +13,10 @@
 #endif
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/crc32.h"
 #include "util/fault_injection.h"
+#include "util/file_image.h"
 #include "util/logging.h"
 #include "util/strings.h"
 
@@ -192,15 +194,8 @@ util::Status ParseMatrixTable(const std::string& path, const char* what,
 // in-memory copy so corruption is indistinguishable from real disk damage.
 
 util::Status ReadFileImage(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
-    return util::NotFoundError("cannot open " + path);
-  }
-  std::string buf((std::istreambuf_iterator<char>(in)),
-                  std::istreambuf_iterator<char>());
-  if (in.bad()) {
-    return util::UnavailableError("read failure on " + path);
-  }
+  std::string buf;
+  LAYERGCN_RETURN_IF_ERROR(util::ReadFileImage(path, &buf));
   if (util::fault::Fire("checkpoint.short_read") && !buf.empty()) {
     buf.resize(buf.size() - buf.size() / 3 - 1);
   }
@@ -958,6 +953,7 @@ std::vector<std::pair<int64_t, std::string>> CheckpointManager::ListCheckpoints(
 
 util::Status CheckpointManager::Write(const std::vector<Parameter*>& params,
                                       const TrainingState& state) {
+  OBS_SPAN("checkpoint.write");
   std::error_code ec;
   fs::create_directories(dir_, ec);
   if (ec) {

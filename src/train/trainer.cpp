@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -41,6 +42,13 @@ eval::ScoreFn MakeScoreFn(Recommender* model) {
   return [model](const std::vector<int32_t>& users) {
     return model->ScoreUsers(users);
   };
+}
+
+// The forward that readies a model for ranking (Recommender::PrepareEval),
+// under its own span so a trace separates it from the evaluation itself.
+void PrepareEval(Recommender* model) {
+  OBS_SPAN("eval.prepare");
+  model->PrepareEval();
 }
 
 // Inner-product models rank through the fused blocked kernel; everything
@@ -94,6 +102,12 @@ TrainResult FitRecommender(Recommender* model, const data::Dataset& dataset,
                            const TrainOptions& options,
                            std::vector<CheckpointMetrics>* checkpoints) {
   LAYERGCN_CHECK(model != nullptr);
+  if (options.report_ks.empty() && !options.checkpoint_epochs.empty()) {
+    TrainResult refused;
+    refused.status = util::InvalidArgumentError(
+        "checkpoint_epochs need report_ks: the probes report test metrics");
+    return refused;
+  }
   ClearStopRequest();
   util::Rng rng(config.seed);
   model->Init(dataset, config, &rng);
@@ -106,7 +120,11 @@ TrainResult FitRecommender(Recommender* model, const data::Dataset& dataset,
   }
 
   eval::Evaluator valid_eval(&dataset, {options.validation_k});
-  eval::Evaluator test_eval(&dataset, options.report_ks);
+  // No report cutoffs, no test-split evaluator (it needs at least one).
+  std::optional<eval::Evaluator> test_eval;
+  if (!options.report_ks.empty()) {
+    test_eval.emplace(&dataset, options.report_ks);
+  }
 
   TrainResult result;
   std::vector<tensor::Matrix> best_snapshot;
@@ -392,16 +410,16 @@ TrainResult FitRecommender(Recommender* model, const data::Dataset& dataset,
                   options.checkpoint_epochs.end(),
                   epoch) != options.checkpoint_epochs.end();
     if (checkpoint_due) {
-      model->PrepareEval();
+      PrepareEval(model);
       CheckpointMetrics cm;
       cm.epoch = epoch;
-      cm.metrics = EvaluateModel(model, test_eval, eval::EvalSplit::kTest);
+      cm.metrics = EvaluateModel(model, *test_eval, eval::EvalSplit::kTest);
       checkpoints->push_back(std::move(cm));
     }
 
     if (epoch % config.eval_every == 0) {
       util::Timer eval_timer;
-      model->PrepareEval();
+      PrepareEval(model);
       const eval::RankingMetrics vm =
           EvaluateModel(model, valid_eval, eval::EvalSplit::kValidation);
       const double score = vm.recall.at(options.validation_k);
@@ -457,8 +475,11 @@ TrainResult FitRecommender(Recommender* model, const data::Dataset& dataset,
   if (!best_snapshot.empty()) {
     RestoreParams(model->Params(), best_snapshot);
   }
-  model->PrepareEval();
-  result.test_metrics = EvaluateModel(model, test_eval, eval::EvalSplit::kTest);
+  PrepareEval(model);
+  if (test_eval.has_value()) {
+    result.test_metrics =
+        EvaluateModel(model, *test_eval, eval::EvalSplit::kTest);
+  }
   return result;
 }
 
@@ -466,7 +487,7 @@ eval::RankingMetrics EvaluateRecommender(Recommender* model,
                                          const data::Dataset& dataset,
                                          const std::vector<int>& ks,
                                          eval::EvalSplit split) {
-  model->PrepareEval();
+  PrepareEval(model);
   eval::Evaluator evaluator(&dataset, ks);
   return EvaluateModel(model, evaluator, split);
 }

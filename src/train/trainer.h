@@ -33,7 +33,8 @@ struct TrainResult {
   int best_epoch = 0;
   /// Best validation Recall@K (K = validation_k).
   double best_valid_score = 0.0;
-  /// Test metrics evaluated with the best epoch's parameters.
+  /// Test metrics evaluated with the best epoch's parameters (empty when
+  /// TrainOptions::report_ks is).
   eval::RankingMetrics test_metrics;
   /// Mean loss per epoch, in order.
   std::vector<double> epoch_losses;
@@ -66,7 +67,9 @@ struct TrainResult {
 struct TrainOptions {
   /// Cutoff used for validation-based early stopping.
   int validation_k = 20;
-  /// Metric cutoffs to report on the test split.
+  /// Metric cutoffs to report on the test split. An empty list means no
+  /// test-split report: TrainResult::test_metrics stays empty, and
+  /// checkpoint_epochs must be empty too (else InvalidArgument).
   std::vector<int> report_ks = {10, 20, 50};
   bool record_batch_losses = false;
   /// Also evaluate test metrics at these epoch checkpoints (paper Table IV

@@ -1,7 +1,9 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the per-section
-// integrity check of the checkpoint format v2. Table-driven, byte at a
-// time; incremental via the running-crc overload so writers can checksum
-// while streaming.
+// integrity check of the checkpoint format v2, the WAL frames and the
+// pipeline manifest. Slicing-by-8: eight 256-entry tables consume 8 bytes
+// per step, with a byte-at-a-time tail; the values are those of the
+// classic byte-at-a-time table. Incremental via the running-crc overload
+// so writers can checksum while streaming.
 
 #ifndef LAYERGCN_UTIL_CRC32_H_
 #define LAYERGCN_UTIL_CRC32_H_

@@ -1,7 +1,8 @@
 // Corruption and recovery suite for the v2 checkpoint format: every
 // damaged file must surface as a structured util::Status (never an abort),
 // and CheckpointManager must fall back to the newest file that still
-// parses.
+// parses. The CRC-32 known answers and the byte pins at the end fix the
+// format itself.
 
 #include "train/checkpoint.h"
 
@@ -15,6 +16,7 @@
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
+#include "util/crc32.h"
 #include "util/fault_injection.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -23,6 +25,13 @@ namespace layergcn::train {
 namespace {
 
 namespace fs = std::filesystem;
+
+// Size and FNV-1a 64 digest of the pinned files (see
+// FormatPinsServingExportAndCheckpointBytes).
+constexpr uintmax_t kPinnedExportBytes = 593;
+constexpr uint64_t kPinnedExportFnv = 0x2f505df36c46d8f4ull;
+constexpr uintmax_t kPinnedCheckpointBytes = 728;
+constexpr uint64_t kPinnedCheckpointFnv = 0x585b4868e1a593e3ull;
 
 std::string TempPath(const char* name) {
   return std::string(::testing::TempDir()) + "/" + name;
@@ -340,6 +349,160 @@ TEST_F(CheckpointV2Test, ManagerNotFoundWhenNothingValid) {
   EXPECT_EQ(mgr.RestoreLatest({&p}, nullptr).code(),
             util::StatusCode::kNotFound);
   fs::remove_all(dir);
+}
+
+TEST_F(CheckpointV2Test, ManagerFallsBackPastDirectoryNamedLikeCheckpoint) {
+  // Listing matches on the name alone, so a directory called like the
+  // newest checkpoint reaches the reader: it must be refused like a
+  // corrupt file (DataLoss, counted fallback), not kill the process.
+  obs::SetEnabled(true);
+  const std::string dir = TempDirFor("mgr_dir_squat");
+  util::Rng rng(10);
+  Parameter p("emb", 4, 2);
+  p.InitXavier(&rng);
+  CheckpointManager mgr(dir, 3);
+  TrainingState st = MakeState();
+  st.epoch = 4;
+  ASSERT_TRUE(mgr.Write({&p}, st).ok());
+  const std::string squat = CheckpointManager::CheckpointPath(dir, 9);
+  fs::create_directories(squat);
+  EXPECT_EQ(ValidateCheckpoint(squat).code(), util::StatusCode::kDataLoss);
+  EXPECT_EQ(LoadServingExport(squat).status().code(),
+            util::StatusCode::kDataLoss);
+
+  const auto before = obs::MetricsRegistry::Global().Snapshot();
+  Parameter p2("emb", 4, 2);
+  TrainingState restored;
+  const util::Status s = mgr.RestoreLatest({&p2}, &restored);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(restored.epoch, 4);
+  EXPECT_TRUE(p2.value.Equals(p.value));
+  const auto after = obs::MetricsRegistry::Global().Snapshot();
+  EXPECT_EQ(after.CounterDelta(before, "checkpoint.fallbacks"), 1u);
+  fs::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// CRC-32 and format pins. Every checkpoint, serving export, WAL frame and
+// manifest is guarded by util::Crc32, so its values are part of the
+// on-disk formats: a faster implementation must reproduce them exactly.
+
+// Bit-at-a-time CRC-32 straight from the reflected polynomial.
+uint32_t ReferenceCrc32(const unsigned char* p, size_t n) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<unsigned char> NoiseBytes(size_t n, uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<unsigned char> out(n);
+  for (unsigned char& b : out) b = static_cast<unsigned char>(rng.NextU64());
+  return out;
+}
+
+TEST(Crc32Test, KnownAnswers) {
+  EXPECT_EQ(util::Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(util::Crc32("", 0), 0u);
+  EXPECT_EQ(util::Crc32Final(util::Crc32Init()), 0u);
+}
+
+TEST(Crc32Test, MatchesReferenceAtEveryLengthAndAlignment) {
+  // Offsets 0..7 start the 8-byte steps at every misalignment; lengths
+  // 0..300 cover empty input, pure tails and every tail length.
+  const std::vector<unsigned char> buf = NoiseBytes(300 + 8, 3);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 300; ++len) {
+      const unsigned char* p = buf.data() + offset;
+      ASSERT_EQ(util::Crc32(p, len), ReferenceCrc32(p, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, EverySplitOfAStreamEqualsOneShot) {
+  const std::vector<unsigned char> buf = NoiseBytes(300, 4);
+  const uint32_t whole = util::Crc32(buf.data(), buf.size());
+  ASSERT_EQ(whole, ReferenceCrc32(buf.data(), buf.size()));
+  for (size_t cut = 0; cut <= buf.size(); ++cut) {
+    uint32_t crc = util::Crc32Update(util::Crc32Init(), buf.data(), cut);
+    crc = util::Crc32Update(crc, buf.data() + cut, buf.size() - cut);
+    ASSERT_EQ(util::Crc32Final(crc), whole) << "cut at " << cut;
+  }
+}
+
+// FNV-1a 64 over a whole file: a digest that does not depend on the CRC
+// under test.
+uint64_t FileFnv1a(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  uint64_t h = 0xcbf29ce484222325ull;
+  char c;
+  while (in.get(c)) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// Exact-in-float values (multiples of 1/16), so the bytes depend on the
+// writer only.
+tensor::Matrix Ramp(int64_t rows, int64_t cols, int salt) {
+  tensor::Matrix m(rows, cols);
+  for (int64_t i = 0; i < m.size(); ++i) {
+    m.data()[i] = static_cast<float>((i * 7 + salt) % 19 - 9) * 0.0625f;
+  }
+  return m;
+}
+
+TEST_F(CheckpointV2Test, FormatPinsServingExportAndCheckpointBytes) {
+  // The constants were captured from the byte-at-a-time implementation;
+  // any change to the writers or to the CRC moves them.
+  ServingExport ex;
+  ex.version = 3;
+  ex.user_emb = Ramp(3, 5, 1);
+  ex.item_emb = Ramp(4, 5, 2);
+  ex.user_history = {{0, 2}, {}, {1, 3}};
+  ex.write_int8 = true;
+  ex.write_bf16 = true;
+  const std::string export_path = TempPath("v2_pin_export.lgcn");
+  ASSERT_TRUE(SaveServingExport(export_path, ex).ok());
+  EXPECT_EQ(fs::file_size(export_path), kPinnedExportBytes);
+  EXPECT_EQ(FileFnv1a(export_path), kPinnedExportFnv);
+
+  Parameter a("emb", 3, 4), b("w", 2, 2);
+  a.value = Ramp(3, 4, 3);
+  a.adam_m = Ramp(3, 4, 4);
+  a.adam_v = Ramp(3, 4, 5);
+  b.value = Ramp(2, 2, 6);
+  TrainingState st;
+  st.epoch = 7;
+  st.best_epoch = 5;
+  st.best_valid_score = 0.25;
+  st.epochs_since_best = 2;
+  st.optimizer_steps = 91;
+  st.seed = 42;
+  st.sampler_cursor = 1234;
+  st.has_rng = true;
+  st.rng.s[0] = 1;
+  st.rng.s[1] = 2;
+  st.rng.s[2] = 3;
+  st.rng.s[3] = 4;
+  st.rng.spare_bits = 5;
+  st.rng.has_spare = 1;
+  st.epoch_losses = {0.5, 0.25};
+  st.valid_curve = {{2, 0.125}};
+  st.best_snapshot = {{"emb", Ramp(3, 4, 7)}, {"w", Ramp(2, 2, 8)}};
+  const std::string ckpt_path = TempPath("v2_pin_ckpt.lgcn");
+  ASSERT_TRUE(SaveCheckpointV2(ckpt_path, {&a, &b}, &st).ok());
+  EXPECT_EQ(fs::file_size(ckpt_path), kPinnedCheckpointBytes);
+  EXPECT_EQ(FileFnv1a(ckpt_path), kPinnedCheckpointFnv);
+  std::remove(export_path.c_str());
+  std::remove(ckpt_path.c_str());
 }
 
 }  // namespace

@@ -9,12 +9,15 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "eval/evaluator.h"
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
+#include "obs/trace.h"
 #include "pipeline/delta.h"
 #include "pipeline/publisher.h"
 #include "pipeline/supervisor.h"
@@ -23,7 +26,9 @@
 #include "serve/snapshot.h"
 #include "tensor/matrix.h"
 #include "train/checkpoint.h"
+#include "train/stop_token.h"
 #include "util/fault_injection.h"
+#include "util/logging.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -249,6 +254,29 @@ TEST_F(PipelineTest, WalShortReadFaultPointTruncatesImage) {
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(stats.torn_tails, 1);
   EXPECT_LT(static_cast<int64_t>(read.value().size()), 8);
+}
+
+TEST_F(PipelineTest, WalDirectoryNamedLikeSegmentIsStructuredError) {
+  // Segments are listed by name alone: a directory squatting on a segment
+  // name must come back as a Status from every reader, not an abort or an
+  // allocation sized from the directory.
+  const std::string dir = TempDirFor("wal_dir_squat");
+  {
+    auto wal = InteractionWal::Open({.dir = dir});
+    ASSERT_TRUE(wal.ok());
+    for (const WalRecord& e : Events(0, 5)) {
+      ASSERT_TRUE(wal.value()->Append(e).ok());
+    }
+    ASSERT_TRUE(wal.value()->Commit().ok());
+  }
+  fs::create_directories(InteractionWal::SegmentPath(dir, 9));
+
+  const auto read = InteractionWal::ReadAll(dir);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), util::StatusCode::kDataLoss);
+  const auto opened = InteractionWal::Open({.dir = dir});
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), util::StatusCode::kDataLoss);
 }
 
 TEST_F(PipelineTest, WalGcRemovesOnlyCoveredSealedSegments) {
@@ -595,6 +623,32 @@ TEST_F(PipelineTest, SnapshotRetentionKeepsNewestValidAndServingVersion) {
   EXPECT_FALSE(fs::exists(serve::SnapshotStore::SnapshotPath(dir, 6)));
 }
 
+TEST_F(PipelineTest, SnapshotDirectoryNamedLikeNewerVersionIsSkipped) {
+  // A directory named like v2 beside a valid v1: reload keeps serving v1
+  // (a fresh store falls back to it), and it does not count toward the
+  // retention quota, so v1 survives Retain(1).
+  const std::string dir = TempDirFor("snap_dir_squat");
+  serve::SnapshotStore store(dir);
+  SnapshotPublisher publisher(&store, FastPublisher());
+  const FakeModel model(10);
+  ASSERT_TRUE(publisher.Publish(model.view(), model.history, 1).ok());
+  const std::string v1 = serve::SnapshotStore::SnapshotPath(dir, 1);
+  fs::create_directories(serve::SnapshotStore::SnapshotPath(dir, 2));
+
+  EXPECT_TRUE(store.Reload().ok());  // nothing valid is newer than v1
+  ASSERT_NE(store.current(), nullptr);
+  EXPECT_EQ(store.current()->version(), 1);
+
+  serve::SnapshotStore fresh(dir);
+  const util::Status loaded = fresh.Reload();
+  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+  EXPECT_EQ(fresh.current()->version(), 1);
+
+  EXPECT_EQ(store.Retain(1), 0);
+  EXPECT_TRUE(fs::is_regular_file(v1));
+  EXPECT_TRUE(train::ValidateCheckpoint(v1).ok());
+}
+
 // ---------------------------------------------------------------------------
 // Warm start
 
@@ -657,6 +711,89 @@ TEST_F(PipelineTest, WarmStartFallsBackToColdOnMissingCheckpoint) {
   auto run = trainer.Run(ingestor.BuildDataset(), nullptr, options);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_FALSE(run.value().warm_started);  // degraded to cold, not an error
+}
+
+// Bootstraps run 1 on events [0, 150) and returns the options for a warm
+// run 2 over the grown set [0, 260).
+WarmStartOptions BootstrapThenWarm(const std::string& root,
+                                   WarmStartTrainer* trainer,
+                                   DeltaIngestor* ingestor) {
+  ingestor->Apply(Events(0, 150));
+  const data::Dataset first = ingestor->BuildDataset();
+  WarmStartOptions options;
+  options.checkpoint_root = root;
+  options.run_id = 1;
+  options.bootstrap_epochs = 2;
+  options.quality_k = 10;
+  auto run1 = trainer->Run(first, nullptr, options);
+  EXPECT_TRUE(run1.ok()) << run1.status().ToString();
+  ingestor->Apply(Events(150, 260));
+  options.run_id = 2;
+  options.prev_checkpoint_dir = WarmStartTrainer::RunDir(root, 1);
+  options.prev_num_users = first.num_users;
+  options.prev_num_items = first.num_items;
+  return options;
+}
+
+TEST_F(PipelineTest, GateCandidateRecallEqualsIndependentEvaluation) {
+  // The gate takes the fit's best validation score as the candidate's
+  // R@K instead of evaluating the returned model again. Oracle: an
+  // independent PrepareEval + Evaluate(kValidation) of that model gives
+  // the same bits, whichever epoch the fit restored.
+  for (const int epochs : {1, 2}) {
+    const std::string root = TempDirFor("gate_oracle");
+    WarmStartTrainer trainer(SmallConfig());
+    DeltaIngestor ingestor;
+    WarmStartOptions options = BootstrapThenWarm(root, &trainer, &ingestor);
+    options.fine_tune_epochs = epochs;
+    const data::Dataset dataset = ingestor.BuildDataset();
+    ASSERT_GT(dataset.num_valid(), 0);
+
+    auto run = trainer.Run(dataset, nullptr, options);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    ASSERT_TRUE(run.value().warm_started);
+    EXPECT_EQ(run.value().fit.epochs_run, epochs);
+    EXPECT_TRUE(run.value().gate_passed);
+    EXPECT_TRUE(run.value().fit.test_metrics.recall.empty());
+
+    train::Recommender* model = run.value().model.get();
+    model->PrepareEval();
+    const train::EmbeddingView view = model->GetEmbeddingView();
+    ASSERT_TRUE(view.valid());
+    const eval::Evaluator ev(&dataset, {options.quality_k});
+    const double again =
+        ev.Evaluate(*view.user, *view.item, eval::EvalSplit::kValidation)
+            .recall.at(options.quality_k);
+    EXPECT_GT(again, 0.0) << "fine_tune_epochs " << epochs;
+    EXPECT_EQ(run.value().candidate_recall, again)
+        << "fine_tune_epochs " << epochs;
+  }
+}
+
+TEST_F(PipelineTest, GateRefusesFitThatValidatedNoEpoch) {
+  // A stop request that lands before epoch 1 ends leaves the fit with no
+  // validated epoch: Run still returns a model, but the gate must refuse
+  // it (there is no score to compare). The request is raised from the
+  // warm carry's log line, which runs inside FitRecommender after it has
+  // cleared any earlier request.
+  const std::string root = TempDirFor("gate_no_epoch");
+  WarmStartTrainer trainer(SmallConfig());
+  DeltaIngestor ingestor;
+  const WarmStartOptions options =
+      BootstrapThenWarm(root, &trainer, &ingestor);
+  util::SetLogSink([](const util::LogRecord& record) {
+    if (record.message.rfind("warm start carried", 0) == 0) {
+      train::RequestGracefulStop();
+    }
+  });
+  auto run = trainer.Run(ingestor.BuildDataset(), nullptr, options);
+  util::SetLogSink(nullptr);
+  train::ClearStopRequest();
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_TRUE(run.value().warm_started);
+  EXPECT_TRUE(run.value().fit.interrupted);
+  EXPECT_EQ(run.value().fit.best_epoch, 0);
+  EXPECT_FALSE(run.value().gate_passed);
 }
 
 // ---------------------------------------------------------------------------
@@ -867,6 +1004,40 @@ TEST_F(PipelineTest, SupervisorFullDiskDegradesToServingOnly) {
   ASSERT_NE(store.current(), nullptr);
   EXPECT_EQ(store.current()->version(), 1);
   EXPECT_GT(store.current()->num_users(), 0);
+}
+
+TEST_F(PipelineTest, TracedCycleNamesEveryStage) {
+  // Each stage of a warm publish cycle records its own span, so a trace
+  // of RunCycle names where the time outside epochs and evaluations goes.
+  const std::string root = TempDirFor("sup_traced");
+  const std::string snapshots = root + "/snapshots";
+  serve::SnapshotStore store(snapshots);
+  PipelineSupervisor supervisor(SmallSupervisor(root, snapshots), &store);
+  ASSERT_TRUE(supervisor.Start().ok());
+  ASSERT_TRUE(supervisor.Ingest(Events(0, 150)).ok());
+  ASSERT_TRUE(supervisor.RunCycle().ok());  // cold bootstrap
+  ASSERT_TRUE(supervisor.Ingest(Events(150, 320)).ok());
+  ASSERT_GE(supervisor.events_pending_train(), 120);
+
+  obs::TraceRecorder::Global().Clear();
+  obs::SetTraceEnabled(true);
+  const util::Status cycle = supervisor.RunCycle();  // warm, publishes v2
+  obs::SetTraceEnabled(false);
+  ASSERT_TRUE(cycle.ok()) << cycle.ToString();
+  ASSERT_EQ(supervisor.counters().publishes, 2);
+
+  std::set<std::string> recorded;
+  for (const obs::TraceEvent& e : obs::TraceRecorder::Global().Snapshot()) {
+    recorded.insert(e.name);
+  }
+  obs::TraceRecorder::Global().Clear();
+  for (const char* stage :
+       {"pipeline.build_dataset", "pipeline.warm_carry", "checkpoint.write",
+        "eval.prepare", "pipeline.export_write", "pipeline.publish_validate",
+        "pipeline.store_reload", "pipeline.retention",
+        "pipeline.manifest_save"}) {
+    EXPECT_EQ(recorded.count(stage), 1u) << stage;
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "train/trainer.h"
 
+#include "core/layergcn.h"
 #include "gtest/gtest.h"
 #include "models/bpr_mf.h"
 #include "test_util.h"
@@ -127,6 +128,50 @@ TEST(TrainerTest, EvalEveryReducesValidationPoints) {
   EXPECT_EQ(r.valid_curve.size(), 2u);
   EXPECT_EQ(r.valid_curve[0].first, 5);
   EXPECT_EQ(r.valid_curve[1].first, 10);
+}
+
+TEST(TrainerTest, EmptyReportKsSkipsTestReportOnly) {
+  // An empty report list drops the test-split evaluation and nothing else:
+  // same losses, same best epoch and score, and the model is left with the
+  // same ranking view (best epoch restored, PrepareEval()ed).
+  const data::Dataset ds = TinyDataset();
+  TrainConfig cfg = SmallConfig();
+  cfg.max_epochs = 6;
+  TrainOptions reported;
+  reported.validation_k = 2;
+  TrainOptions silent = reported;
+  silent.report_ks.clear();
+
+  core::LayerGcn a, b;
+  const TrainResult ra = FitRecommender(&a, ds, cfg, reported);
+  const TrainResult rb = FitRecommender(&b, ds, cfg, silent);
+  ASSERT_TRUE(rb.status.ok()) << rb.status.ToString();
+  EXPECT_FALSE(ra.test_metrics.recall.empty());
+  EXPECT_TRUE(rb.test_metrics.recall.empty());
+  EXPECT_TRUE(rb.test_metrics.ndcg.empty());
+  EXPECT_EQ(ra.epoch_losses, rb.epoch_losses);
+  EXPECT_EQ(ra.best_epoch, rb.best_epoch);
+  EXPECT_EQ(ra.best_valid_score, rb.best_valid_score);
+  const EmbeddingView va = a.GetEmbeddingView();
+  const EmbeddingView vb = b.GetEmbeddingView();
+  ASSERT_TRUE(va.valid());
+  ASSERT_TRUE(vb.valid());
+  EXPECT_TRUE(va.user->Equals(*vb.user));
+  EXPECT_TRUE(va.item->Equals(*vb.item));
+}
+
+TEST(TrainerTest, CheckpointEpochsWithoutReportKsIsInvalidArgument) {
+  const data::Dataset ds = TinyDataset();
+  models::BprMf model;
+  TrainOptions options;
+  options.report_ks.clear();
+  options.checkpoint_epochs = {2};
+  std::vector<CheckpointMetrics> checkpoints;
+  const TrainResult r =
+      FitRecommender(&model, ds, SmallConfig(), options, &checkpoints);
+  EXPECT_EQ(r.status.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(r.epochs_run, 0);
+  EXPECT_TRUE(checkpoints.empty());
 }
 
 }  // namespace

@@ -17,6 +17,12 @@
 //                   num_users, counts) — compared documents may disagree
 //                   on them freely
 //
+// perfbench result lines (BENCH_perfbench_<workload>.json) carry each
+// metric as {"value": v, "unit": u}. Such an object is one leaf, named by
+// its metric and classified by its unit first: us / ms / s / MiB are
+// lower-better, 1/s higher-better; other units (ratio, count) fall back to
+// the metric's name.
+//
 // A metric regresses when it moves in the bad direction by more than
 // --threshold (relative, default 0.10 = 10%). Metrics whose base value is
 // zero are skipped (no meaningful relative delta).
@@ -116,22 +122,37 @@ std::string ElementLabel(const JsonValue& element, size_t index) {
   return std::to_string(index);
 }
 
-// Flattens every numeric leaf under `value` into path -> number. The
+// One numeric leaf; `unit` is set for a perfbench {"value", "unit"} metric.
+struct Leaf {
+  double value = 0.0;
+  std::string unit;
+};
+
+// Flattens every numeric leaf under `value` into path -> leaf. The
 // "env" subtree is machine identity, not a metric, and is skipped here
 // (it is compared separately, strictly).
 void CollectNumericLeaves(const JsonValue& value, const std::string& prefix,
-                          std::map<std::string, double>* out) {
+                          std::map<std::string, Leaf>* out) {
   switch (value.type) {
     case JsonValue::Type::kNumber:
-      (*out)[prefix] = value.number;
+      (*out)[prefix] = {value.number, ""};
       break;
-    case JsonValue::Type::kObject:
+    case JsonValue::Type::kObject: {
+      const JsonValue* number = value.Find("value");
+      const JsonValue* unit = value.Find("unit");
+      if (value.object.size() == 2 && number != nullptr &&
+          number->type == JsonValue::Type::kNumber && unit != nullptr &&
+          unit->is_string()) {
+        (*out)[prefix] = {number->number, unit->string};
+        break;
+      }
       for (const auto& [key, member] : value.object) {
         if (prefix.empty() && key == "env") continue;
         CollectNumericLeaves(member, prefix.empty() ? key : prefix + "." + key,
                              out);
       }
       break;
+    }
     case JsonValue::Type::kArray:
       for (size_t i = 0; i < value.array.size(); ++i) {
         CollectNumericLeaves(value.array[i],
@@ -155,7 +176,11 @@ bool Contains(const std::string& s, const char* needle) {
 
 enum class Direction { kLowerBetter, kHigherBetter, kIgnored };
 
-Direction Classify(const std::string& path) {
+Direction Classify(const std::string& path, const std::string& unit) {
+  if (unit == "us" || unit == "ms" || unit == "s" || unit == "MiB") {
+    return Direction::kLowerBetter;
+  }
+  if (unit == "1/s") return Direction::kHigherBetter;
   const size_t dot = path.rfind('.');
   const std::string key = dot == std::string::npos ? path : path.substr(dot + 1);
   if (EndsWith(key, "_us") || EndsWith(key, "_seconds") ||
@@ -256,36 +281,38 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "continuing despite mismatch (--allow-env-mismatch)\n");
   }
 
-  std::map<std::string, double> base_leaves, next_leaves;
+  std::map<std::string, Leaf> base_leaves, next_leaves;
   CollectNumericLeaves(base, "", &base_leaves);
   CollectNumericLeaves(next, "", &next_leaves);
 
   int64_t compared = 0, skipped = 0;
   std::vector<std::string> regressions;
-  for (const auto& [path, base_value] : base_leaves) {
+  for (const auto& [path, base_leaf] : base_leaves) {
     const auto it = next_leaves.find(path);
     if (it == next_leaves.end()) continue;
-    const Direction dir = Classify(path);
+    const double base_value = base_leaf.value;
+    const double next_value = it->second.value;
+    const Direction dir = Classify(path, base_leaf.unit);
     if (dir == Direction::kIgnored || base_value == 0.0 ||
-        !std::isfinite(base_value) || !std::isfinite(it->second)) {
+        !std::isfinite(base_value) || !std::isfinite(next_value)) {
       ++skipped;
       continue;
     }
     ++compared;
-    const double rel = (it->second - base_value) / std::fabs(base_value);
+    const double rel = (next_value - base_value) / std::fabs(base_value);
     const double bad = dir == Direction::kLowerBetter ? rel : -rel;
     const char* marker = "";
     if (bad > flags.threshold) {
       marker = "  REGRESSION";
       char line[512];
       std::snprintf(line, sizeof(line), "%s: %.6g -> %.6g (%+.1f%%)",
-                    path.c_str(), base_value, it->second, rel * 100.0);
+                    path.c_str(), base_value, next_value, rel * 100.0);
       regressions.push_back(line);
     } else if (-bad > flags.threshold) {
       marker = "  improved";
     }
     std::printf("%-56s %14.6g %14.6g %+7.1f%%%s\n", path.c_str(), base_value,
-                it->second, rel * 100.0, marker);
+                next_value, rel * 100.0, marker);
   }
 
   std::printf(

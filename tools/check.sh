@@ -31,7 +31,9 @@
 # metrics) must emit exactly one schema-valid access record per submitted
 # request — including a malformed-lines batch — and the bench_diff tool
 # must pass a self-compare, flag an injected 20% p99 regression (exit 2),
-# and refuse a cross-hardware comparison (exit 3).
+# and refuse a cross-hardware comparison (exit 3); the committed
+# BENCH_perfbench_live.json must self-compare clean and flag an injected
+# op_p50_ms regression (exit 2).
 #
 # The `retrieval` stage serves one trained snapshot in exact and ivf
 # retrieval modes (schema-gated access logs with the retrieval/candidates
@@ -50,13 +52,14 @@
 # runs layergcn_pipeline with each pipeline fault point armed (torn WAL
 # commit, torn snapshot rename, NaN loss) — every run must exit 0, answer
 # every serve probe (serve.failed == 0), land at least one publish, and
-# converge to the clean run's ingest digest. Then it SIGKILLs a
-# long-running pipeline mid-flight, clones the surviving directory, and
-# restarts both replicas: recovery must replay the WAL (recovered > 0,
-# committed = recovered + new) and both replicas must reach bit-identical
-# digests. Finally the release-build bench_pipeline summary must
-# self-compare clean through bench_diff and trip exit 2 on an injected
-# freshness regression.
+# converge to the clean run's ingest digest. Two more clean runs with the
+# same seed must publish byte-identical snap-*.lgcn files (cmp) and reach
+# the same digest. Then it SIGKILLs a long-running pipeline mid-flight,
+# clones the surviving directory, and restarts both replicas: recovery
+# must replay the WAL (recovered > 0, committed = recovered + new) and
+# both replicas must reach bit-identical digests. Finally the
+# release-build bench_pipeline summary must self-compare clean through
+# bench_diff and trip exit 2 on an injected freshness regression.
 #
 # The `serve` stage builds a UBSan-only config (LAYERGCN_SANITIZE=undefined)
 # and smokes the serving subsystem: train 2 synthetic epochs, export a
@@ -226,6 +229,20 @@ EOF
     echo "OBS-SERVE FAILED: bench_diff exit ${rc} on env mismatch, want 3"
     exit 1
   fi
+  # The committed perfbench result ({"value", "unit"} metrics) must
+  # self-compare clean and trip exit 2 on an injected op_p50_ms regression.
+  local perf="${repo_root}/BENCH_perfbench_live.json"
+  "${dir}/tools/bench_diff" "${perf}" "${perf}"
+  sed 's/"op_p50_ms": {"value": [0-9.e+-]*/"op_p50_ms": {"value": 1e9/' \
+    "${perf}" > "${out}/perfbench-regressed.json"
+  rc=0
+  "${dir}/tools/bench_diff" "${perf}" "${out}/perfbench-regressed.json" ||
+    rc=$?
+  if [[ "${rc}" -ne 2 ]]; then
+    echo "OBS-SERVE FAILED: bench_diff exit ${rc} on perfbench op_p50_ms" \
+         "regression, want 2"
+    exit 1
+  fi
 }
 run_obs_serve_stage
 
@@ -356,6 +373,39 @@ run_pipeline_stage() {
   check_summary "${out}/summary-clean.json" "clean"
   local ref_digest
   ref_digest="$(summary_field "${out}/summary-clean.json" digest)"
+
+  # Published bytes are a pure function of the seed: two clean runs with
+  # the same flags must publish byte-identical snapshots and reach the same
+  # ingest digest. Served-request counts depend on timing and are not
+  # compared.
+  echo "=== [pipeline] two clean runs, same seed: identical snapshots ==="
+  local twin
+  for twin in same-seed-a same-seed-b; do
+    "${dir}/tools/layergcn_pipeline" --dir="${out}/${twin}" \
+      --cycles=4 --events-per-cycle=400 --min-train-events=300 \
+      --summary-out="${out}/summary-${twin}.json" --quiet
+  done
+  local snaps_a snaps_b
+  snaps_a="$(cd "${out}/same-seed-a/snapshots" && ls snap-*.lgcn || true)"
+  snaps_b="$(cd "${out}/same-seed-b/snapshots" && ls snap-*.lgcn || true)"
+  if [[ -z "${snaps_a}" || "${snaps_a}" != "${snaps_b}" ]]; then
+    echo "PIPELINE STAGE FAILED: same-seed runs published different" \
+         "snapshot sets (${snaps_a//$'\n'/ } vs ${snaps_b//$'\n'/ })"
+    exit 1
+  fi
+  local snap
+  for snap in ${snaps_a}; do
+    if ! cmp "${out}/same-seed-a/snapshots/${snap}" \
+             "${out}/same-seed-b/snapshots/${snap}"; then
+      echo "PIPELINE STAGE FAILED: ${snap} differs between same-seed runs"
+      exit 1
+    fi
+  done
+  if [[ "$(summary_field "${out}/summary-same-seed-a.json" digest)" != \
+        "$(summary_field "${out}/summary-same-seed-b.json" digest)" ]]; then
+    echo "PIPELINE STAGE FAILED: same-seed runs reached different digests"
+    exit 1
+  fi
 
   # Fault sweep: same workload with each pipeline fault point armed. The
   # injected crash must be absorbed (exit 0, no serve failure, a publish
