@@ -49,12 +49,12 @@
 #include <vector>
 
 #include "bench/bench_env.h"
+#include "bench/strided_export.h"
 #include "experiments/env.h"
 #include "obs/obs.h"
 #include "serve/overload.h"
 #include "serve/recommend_service.h"
 #include "serve/snapshot.h"
-#include "tensor/matrix.h"
 #include "train/checkpoint.h"
 #include "util/fault_injection.h"
 #include "util/rng.h"
@@ -395,20 +395,8 @@ int main(int argc, char** argv) {
   const int32_t num_items = static_cast<int32_t>(8000 * s);
   const int64_t dim = 64;
 
-  train::ServingExport ex;
-  ex.version = 1;
-  ex.user_emb = tensor::Matrix(num_users, dim);
-  ex.item_emb = tensor::Matrix(num_items, dim);
-  util::Rng rng(env.seed);
-  ex.user_emb.UniformInit(&rng, -0.5f, 0.5f);
-  ex.item_emb.UniformInit(&rng, -0.5f, 0.5f);
-  ex.user_history.resize(static_cast<size_t>(num_users));
-  for (int32_t u = 0; u < num_users; ++u) {
-    const int32_t stride = 37 + u % 17;
-    for (int32_t i = u % stride; i < num_items; i += stride) {
-      ex.user_history[static_cast<size_t>(u)].push_back(i);
-    }
-  }
+  const train::ServingExport ex =
+      bench::StridedExport(num_users, num_items, dim, env.seed);
 
   const std::string dir =
       std::filesystem::temp_directory_path() / "bench_overload";

@@ -9,7 +9,7 @@
 //   faulted  every request carries a deadline budget and each client
 //            periodically arms the serve.slow_score fault point — the pass
 //            exercises the degradation ladder (partial results, structured
-//            DeadlineExceeded, breaker-driven popularity fallback) and
+//            DeadlineExceeded, the deadline trip's popularity fallback) and
 //            must stay crash-free with every response structured
 //
 // Two further passes cover the quantized serving stack:
@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "bench/bench_env.h"
+#include "bench/strided_export.h"
 #include "eval/fused_rank.h"
 #include "experiments/env.h"
 #include "obs/metrics.h"
@@ -475,22 +476,8 @@ int main(int argc, char** argv) {
   const int32_t num_items = static_cast<int32_t>(8000 * s);
   const int64_t dim = 64;
 
-  // Synthetic snapshot: random embeddings plus strided histories (so the
-  // exclusion path does real work).
-  train::ServingExport ex;
-  ex.version = 1;
-  ex.user_emb = tensor::Matrix(num_users, dim);
-  ex.item_emb = tensor::Matrix(num_items, dim);
-  util::Rng rng(env.seed);
-  ex.user_emb.UniformInit(&rng, -0.5f, 0.5f);
-  ex.item_emb.UniformInit(&rng, -0.5f, 0.5f);
-  ex.user_history.resize(static_cast<size_t>(num_users));
-  for (int32_t u = 0; u < num_users; ++u) {
-    const int32_t stride = 37 + u % 17;
-    for (int32_t i = u % stride; i < num_items; i += stride) {
-      ex.user_history[static_cast<size_t>(u)].push_back(i);
-    }
-  }
+  const train::ServingExport ex =
+      bench::StridedExport(num_users, num_items, dim, env.seed);
 
   const std::string dir =
       std::filesystem::temp_directory_path() / "bench_serve_latency";
@@ -514,8 +501,6 @@ int main(int argc, char** argv) {
               num_items, static_cast<long>(dim));
 
   serve::RecommendServiceOptions opt;
-  opt.breaker.failure_threshold = 8;
-  opt.breaker.open_cooldown_us = 20000;
   // The latency passes measure the scoring path; caching is benchmarked by
   // its own pass below.
   opt.score_cache_capacity = 0;
@@ -532,7 +517,8 @@ int main(int argc, char** argv) {
                            env.seed + 1));
   PrintPass(passes.back());
   // Every request stalls past its budget: consecutive deadline failures
-  // trip the breaker and the service rides the popularity fallback.
+  // trip the brownout controller to cache-only and the service rides the
+  // popularity fallback.
   passes.push_back(RunPass(&service, "storm", clients, per_client / 4 + 1,
                            num_users, /*budget_us=*/1500, /*fault_every=*/1,
                            env.seed + 2));
@@ -543,8 +529,8 @@ int main(int argc, char** argv) {
   // pool pinned to 1, 2, and N workers. Per-thread throughput across the
   // sweep shows how request throughput scales with scoring parallelism
   // (rank_threads is recorded in each pass). A fresh service per width:
-  // the storm pass leaves the shared service's breaker open, and a sweep
-  // riding the popularity fallback would measure nothing.
+  // the storm pass leaves the shared service tripped, and a sweep riding
+  // the popularity fallback would measure nothing.
   std::vector<int> sweep_widths{1, 2};
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
   if (hw > 2) sweep_widths.push_back(hw);

@@ -24,7 +24,7 @@
 // merges the current and previous slots, "long" merges every slot in the
 // ring. Callers pass now_us explicitly (obs::NowMicros() in production),
 // so tests drive the state machine with a synthetic clock — the same
-// pattern as serve::CircuitBreaker.
+// pattern as serve::BrownoutController.
 //
 // Update() latches the state, counts transitions (slo.transitions) and
 // exports slo.state / slo.burn_* gauges. Part of src/obs: standard library

@@ -13,15 +13,6 @@
 namespace layergcn::serve {
 namespace {
 
-const char* BreakerStateName(CircuitBreaker::State state) {
-  switch (state) {
-    case CircuitBreaker::State::kClosed: return "closed";
-    case CircuitBreaker::State::kOpen: return "open";
-    case CircuitBreaker::State::kHalfOpen: return "half_open";
-  }
-  return "unknown";
-}
-
 // Torn-read-proof file replacement: readers polling the status file see
 // either the previous complete document or the new one, never a prefix.
 bool AtomicWrite(const std::string& path, const std::string& content) {
@@ -61,16 +52,14 @@ bool HealthReporter::SnapshotStale(uint64_t now_us) const {
 std::string HealthReporter::StatusString(uint64_t now_us) const {
   const std::shared_ptr<const ModelSnapshot> snap = store_->current();
   if (snap == nullptr) return "unready";
-  const bool breaker_open =
-      service_->breaker().state() == CircuitBreaker::State::kOpen;
   const bool slo_breach =
       service_->stats().slo().state() == obs::SloMonitor::State::kBreach;
-  // A browned-out service is answering, but below its configured quality —
-  // that is "degraded" even after the burn subsides, until the ladder has
-  // stepped all the way back up.
+  // A browned-out service (ladder rung or deadline trip) is answering, but
+  // below its configured quality — that is "degraded" even after the burn
+  // subsides, until the ladder has stepped all the way back up.
   const bool browned_out =
       service_->brownout().level() != BrownoutLevel::kNone;
-  if (breaker_open || slo_breach || browned_out || SnapshotStale(now_us)) {
+  if (slo_breach || browned_out || SnapshotStale(now_us)) {
     return "degraded";
   }
   return "ok";
@@ -137,7 +126,6 @@ std::string HealthReporter::StatusJson(uint64_t now_us) {
     w.EndObject();
   }
   w.EndObject();
-  w.Key("breaker").String(BreakerStateName(service_->breaker().state()));
   w.Key("queue_depth").Int(service_->in_flight());
   w.Key("queue_capacity").Int(service_->options().queue_capacity);
   {

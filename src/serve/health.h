@@ -2,15 +2,16 @@
 //
 // HealthReporter periodically renders one JSON status document answering
 // the operator's questions at a glance — is the service ready (a snapshot
-// is loaded), how stale is it, is the breaker open, is the SLO burning,
-// what are the current shed/degraded/cache-hit rates, how deep is the
-// admission queue — and writes it atomically (tmp + rename) so a reader
-// never sees a torn file. Optionally it also writes the whole
+// is loaded), how stale is it, which brownout rung is it serving at, is
+// the SLO burning, what are the current shed/degraded/cache-hit rates, how
+// deep is the admission queue — and writes it atomically (tmp + rename) so
+// a reader never sees a torn file. Optionally it also writes the whole
 // MetricsRegistry as Prometheus text exposition next to it.
 //
 // Readiness ladder:
 //   "unready"   no snapshot published — the service cannot answer
-//   "degraded"  serving, but impaired: breaker open or SLO in breach
+//   "degraded"  serving, but impaired: a brownout rung (the deadline trip
+//               included), an SLO breach, or a stale snapshot
 //   "ok"        serving normally
 //
 // Rates are per-second deltas between consecutive writes of the relevant
@@ -76,8 +77,8 @@ class HealthReporter {
   bool WriteNow(uint64_t now_us);
 
   /// Overall status string at `now_us`: "unready" / "degraded" / "ok".
-  /// Degraded covers an open breaker, an SLO breach, an active brownout
-  /// rung, or a stale snapshot.
+  /// Degraded covers an SLO breach, an active brownout rung (a deadline
+  /// trip reads cache_only), or a stale snapshot.
   std::string StatusString(uint64_t now_us) const;
 
   /// True when staleness checking is on, a snapshot is published, and its

@@ -71,12 +71,6 @@ void AdaptiveLimiter::CongestionLocked(uint64_t now_us) {
 
 void AdaptiveLimiter::OnComplete(uint64_t now_us, uint64_t latency_us,
                                  bool congested) {
-  // EWMA with alpha 1/8 — smooth enough for retry hints, fast enough to
-  // track a mode change within a few tens of requests.
-  uint64_t prev = ewma_us_.load(std::memory_order_relaxed);
-  ewma_us_.store(prev == 0 ? latency_us : prev - prev / 8 + latency_us / 8,
-                 std::memory_order_relaxed);
-
   std::lock_guard<std::mutex> lock(mu_);
   if (congested || latency_us > options_.latency_target_us) {
     CongestionLocked(now_us);
@@ -126,12 +120,13 @@ BrownoutController::BrownoutController(const Options& options)
   OBS_GAUGE("serve.overload.brownout_level", 0.0);
 }
 
-void BrownoutController::SetLevelLocked(int level, uint64_t now_us) {
+void BrownoutController::PublishLocked() {
+  const int level =
+      tripped_ ? static_cast<int>(BrownoutLevel::kCacheOnly) : ladder_;
   const int prev = level_.load(std::memory_order_relaxed);
   if (level == prev) return;
   level_.store(level, std::memory_order_relaxed);
   transitions_.fetch_add(1, std::memory_order_relaxed);
-  last_step_us_ = now_us;
   OBS_COUNT("serve.overload.brownout_transitions", 1);
   OBS_GAUGE("serve.overload.brownout_level", static_cast<double>(level));
   LAYERGCN_LOG(kWarning) << "brownout "
@@ -142,17 +137,27 @@ void BrownoutController::SetLevelLocked(int level, uint64_t now_us) {
                                 static_cast<BrownoutLevel>(level));
 }
 
+void BrownoutController::ReleaseLocked(uint64_t now_us) {
+  if (!tripped_ || now_us < tripped_at_us_ + options_.step_down_hold_us) {
+    return;
+  }
+  // The streak is left as it was: the next scored request is the probe,
+  // and one more expiry trips again at once.
+  tripped_ = false;
+  PublishLocked();
+}
+
 BrownoutLevel BrownoutController::OnSloState(obs::SloMonitor::State state,
                                              uint64_t now_us) {
-  if (!options_.enabled) return BrownoutLevel::kNone;
+  if (!options_.enabled) return Resolve(now_us);
   std::lock_guard<std::mutex> lock(mu_);
-  const int cur = level_.load(std::memory_order_relaxed);
   switch (state) {
     case obs::SloMonitor::State::kBreach:
       ok_since_us_ = 0;
-      if (cur < options_.max_level &&
+      if (ladder_ < options_.max_level &&
           now_us >= last_step_us_ + options_.step_down_hold_us) {
-        SetLevelLocked(cur + 1, now_us);
+        ++ladder_;
+        last_step_us_ = now_us;
       }
       break;
     case obs::SloMonitor::State::kWarn:
@@ -161,16 +166,40 @@ BrownoutLevel BrownoutController::OnSloState(obs::SloMonitor::State state,
       ok_since_us_ = 0;
       break;
     case obs::SloMonitor::State::kOk:
-      if (cur == 0) break;
+      if (ladder_ == 0) break;
       if (ok_since_us_ == 0) {
         ok_since_us_ = now_us;
       } else if (now_us >= ok_since_us_ + options_.step_up_hold_us) {
-        SetLevelLocked(cur - 1, now_us);
+        --ladder_;
+        last_step_us_ = now_us;
         ok_since_us_ = now_us;  // prove recovery again per rung
       }
       break;
   }
-  return static_cast<BrownoutLevel>(level_.load(std::memory_order_relaxed));
+  ReleaseLocked(now_us);
+  PublishLocked();
+  return level();
+}
+
+BrownoutLevel BrownoutController::Resolve(uint64_t now_us) {
+  std::lock_guard<std::mutex> lock(mu_);
+  ReleaseLocked(now_us);
+  return level();
+}
+
+void BrownoutController::OnScored(bool expired, uint64_t now_us) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!expired) {
+    expired_streak_ = 0;
+    return;
+  }
+  // Capped at kTripStreak: past it, every expiry is a trip-worthy one.
+  expired_streak_ = std::min(expired_streak_ + 1, kTripStreak);
+  if (expired_streak_ < kTripStreak || tripped_) return;
+  tripped_ = true;
+  tripped_at_us_ = now_us;
+  OBS_COUNT("serve.overload.deadline_trips", 1);
+  PublishLocked();
 }
 
 }  // namespace layergcn::serve

@@ -2,7 +2,7 @@
 // classes, and the brownout ladder.
 //
 // Three cooperating pieces, all deterministic under a synthetic clock
-// (callers pass `now_us` explicitly, like CircuitBreaker):
+// (callers pass `now_us` explicitly):
 //
 //   AdaptiveLimiter      AIMD concurrency limit driven by completion
 //                        latency. Completions over the latency target (or
@@ -22,18 +22,28 @@
 //                        hint sized from the smoothed service latency and
 //                        current backlog.
 //
-//   BrownoutController   Quality ladder driven by the SLO burn state
-//                        (obs::SloMonitor). Sustained kBreach steps the
-//                        serving mode down one rung at a time —
-//                        exact -> ivf -> quantized -> cache/popularity
-//                        only — and recovery steps back up only after the
-//                        SLO has held kOk for `step_up_hold_us`
-//                        (hysteresis: stepping down is fast, stepping up
-//                        is deliberate, so the ladder cannot flap on the
-//                        boundary of a burn window). The live rung is the
-//                        serve.overload.brownout_level gauge and is
-//                        recorded per-request in RequestContext / the
-//                        access log.
+//   BrownoutController   The one state machine behind every degraded
+//                        answer. Two inputs move it:
+//                        - SLO burn (obs::SloMonitor), when enabled:
+//                          sustained kBreach steps the ladder down one rung
+//                          at a time — exact -> ivf -> quantized ->
+//                          cache/popularity only — and recovery steps back
+//                          up only after the SLO has held kOk for
+//                          `step_up_hold_us` (hysteresis: stepping down is
+//                          fast, stepping up is deliberate, so the ladder
+//                          cannot flap on the boundary of a burn window).
+//                        - Deadline outcomes, always: kTripStreak scored
+//                          requests expiring in a row trip the controller
+//                          straight to kCacheOnly (serve.overload.
+//                          deadline_trips), so a struggling scoring path is
+//                          not hammered while it is slow. After
+//                          `step_down_hold_us` the trip releases to the
+//                          ladder's own rung; the next scored request is
+//                          the probe — one more expiry trips again at
+//                          once, a completion clears the streak.
+//                        The live rung is the serve.overload.brownout_level
+//                        gauge and is recorded per-request in
+//                        RequestContext / the access log.
 //
 // RecommendService owns one of each and wires them into Submit()
 // admission, worker dequeue, and Recommend() mode resolution.
@@ -104,11 +114,6 @@ class AdaptiveLimiter {
   /// immediate multiplicative decrease (subject to the cooldown).
   void OnExpired(uint64_t now_us);
 
-  /// EWMA of completion latency (for retry_after_ms hints).
-  uint64_t smoothed_latency_us() const {
-    return ewma_us_.load(std::memory_order_relaxed);
-  }
-
   int64_t decreases() const { return decreases_.load(std::memory_order_relaxed); }
   int64_t increases() const { return increases_.load(std::memory_order_relaxed); }
   const Options& options() const { return options_; }
@@ -118,7 +123,6 @@ class AdaptiveLimiter {
 
   const Options options_;
   std::atomic<int64_t> limit_;
-  std::atomic<uint64_t> ewma_us_{0};
   std::atomic<int64_t> decreases_{0};
   std::atomic<int64_t> increases_{0};
   std::mutex mu_;
@@ -140,15 +144,21 @@ inline constexpr int kNumBrownoutLevels = 4;
 
 const char* BrownoutLevelName(BrownoutLevel level);
 
-/// Thread-safe hysteresis ladder over SLO burn states.
+/// Thread-safe brownout state machine: a hysteresis ladder over SLO burn
+/// states plus a deadline trip to the deepest rung.
 class BrownoutController {
  public:
+  /// Scored requests expiring in a row that trip the controller.
+  static constexpr int kTripStreak = 5;
+
   struct Options {
+    /// SLO burn drives the ladder. The deadline trip works either way.
     bool enabled = false;
-    /// Deepest rung the ladder may reach (0..3).
+    /// Deepest rung the ladder may reach (0..3). A trip ignores it.
     int max_level = 3;
     /// Minimum dwell between consecutive downward steps — one sustained
     /// breach walks the ladder rung by rung, not straight to the bottom.
+    /// Also how long a deadline trip holds kCacheOnly.
     uint64_t step_down_hold_us = 250'000;
     /// Continuous kOk required per upward step. Much longer than the
     /// downward hold: recovery must be proven, not glimpsed.
@@ -158,32 +168,52 @@ class BrownoutController {
   BrownoutController();  // default Options
   explicit BrownoutController(const Options& options);
 
-  /// Feeds the current SLO state at `now_us` and returns the (possibly
-  /// stepped) level. kBreach steps down one rung per step_down_hold_us;
-  /// kWarn holds; kOk held continuously for step_up_hold_us steps up one
-  /// rung (and restarts the hold, so full recovery takes one hold per
-  /// rung). Disabled controllers always return kNone.
+  /// Feeds the current SLO state at `now_us` and returns the rung a request
+  /// starting then is served under. kBreach steps the ladder down one rung
+  /// per step_down_hold_us; kWarn holds; kOk held continuously for
+  /// step_up_hold_us steps up one rung (and restarts the hold, so full
+  /// recovery takes one hold per rung). A disabled ladder stays at kNone.
+  /// Either way a live trip overrides the ladder's rung (see Resolve).
   BrownoutLevel OnSloState(obs::SloMonitor::State state, uint64_t now_us);
 
+  /// The rung a request starting at `now_us` is served under without
+  /// consulting the SLO: releases a trip whose hold has passed.
+  BrownoutLevel Resolve(uint64_t now_us);
+
+  /// Reports whether a model-scored request's deadline expired (a partial
+  /// ranking or DeadlineExceeded). kTripStreak expiries in a row trip the
+  /// controller; a completion resets the streak.
+  void OnScored(bool expired, uint64_t now_us);
+
+  /// The current rung, as of the last request, trip or release.
   BrownoutLevel level() const {
     return static_cast<BrownoutLevel>(
         level_.load(std::memory_order_relaxed));
   }
-  /// Level changes in either direction since construction.
+  /// Level changes in either direction since construction, trips and
+  /// releases included.
   int64_t transitions() const {
     return transitions_.load(std::memory_order_relaxed);
   }
   const Options& options() const { return options_; }
 
  private:
-  void SetLevelLocked(int level, uint64_t now_us);  // mu_ held
+  /// Ends a trip whose hold has passed. mu_ held.
+  void ReleaseLocked(uint64_t now_us);
+  /// Publishes the effective rung: kCacheOnly while tripped, else the
+  /// ladder's own. mu_ held.
+  void PublishLocked();
 
   const Options options_;
   std::atomic<int> level_{0};
   std::atomic<int64_t> transitions_{0};
   std::mutex mu_;
-  uint64_t last_step_us_ = 0;
+  int ladder_ = 0;             // the SLO ladder's own rung
+  uint64_t last_step_us_ = 0;  // last ladder step, either direction
   uint64_t ok_since_us_ = 0;
+  int expired_streak_ = 0;
+  bool tripped_ = false;
+  uint64_t tripped_at_us_ = 0;
 };
 
 // --- Service wiring ------------------------------------------------------

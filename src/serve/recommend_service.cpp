@@ -41,7 +41,6 @@ RecommendService::RecommendService(SnapshotStore* store,
                                    const RecommendServiceOptions& options)
     : store_(store),
       options_(options),
-      breaker_(options.breaker),
       stats_(WithEnvSlo(options.stats)),
       limiter_(options.overload.limiter),
       brownout_(options.overload.brownout) {
@@ -259,152 +258,137 @@ util::StatusOr<RecommendResponse> RecommendService::Recommend(
   }
 
   // Brownout rung for this request: the SLO burn state steps the ladder
-  // (with hysteresis inside the controller); the rung then forces cheaper
-  // serving modes below. Explicit exact requests are exempt — they are
-  // the bit-exact reference parity tests and recall sampling rely on.
+  // (with hysteresis inside the controller) and a deadline trip overrides
+  // it; the rung then forces cheaper serving modes below. The SLO monitor
+  // locks, so it is read only when it drives the ladder. Explicit exact
+  // requests are exempt — they are the bit-exact reference parity tests
+  // and recall sampling rely on.
   const BrownoutLevel brownout =
       options_.overload.brownout.enabled
           ? brownout_.OnSloState(stats_.slo().state(), start_us)
-          : BrownoutLevel::kNone;
+          : brownout_.Resolve(start_us);
   ctx->brownout = brownout;
   const bool brownout_applies = !req.exact;
 
+  // Resolve the encoding this request actually scores with: a requested
+  // quantized copy the snapshot does not carry degrades to the f32
+  // reference for this request only. A brownout rung at or past
+  // kQuantized forces the cheapest quantized copy the snapshot carries.
+  eval::ScoreEncoding encoding = options_.encoding;
+  if (brownout_applies && brownout >= BrownoutLevel::kQuantized) {
+    if (snap->has_int8()) {
+      encoding = eval::ScoreEncoding::kInt8;
+    } else if (snap->has_bf16()) {
+      encoding = eval::ScoreEncoding::kBf16;
+    }
+  }
+  if ((encoding == eval::ScoreEncoding::kInt8 && !snap->has_int8()) ||
+      (encoding == eval::ScoreEncoding::kBf16 && !snap->has_bf16())) {
+    OBS_COUNT("serve.encoding_fallbacks", 1);
+    encoding = eval::ScoreEncoding::kF32;
+  }
+  // Resolve the retrieval path: a per-request exact override always
+  // wins, a brownout rung at or past kIvf forces the index when one
+  // exists, and an ivf default degrades to exact for this request when
+  // the snapshot carries no index (build failed or never requested).
+  RetrievalMode retrieval = options_.retrieval;
+  if (req.exact) {
+    retrieval = RetrievalMode::kExact;
+  } else if (brownout >= BrownoutLevel::kIvf && snap->has_index()) {
+    retrieval = RetrievalMode::kIvf;
+  } else if (retrieval == RetrievalMode::kIvf && !snap->has_index()) {
+    OBS_COUNT("serve.retrieval.exact_fallbacks", 1);
+    retrieval = RetrievalMode::kExact;
+  }
+
   RecommendResponse resp;
-  resp.brownout = brownout;
   bool served = false;
-  if (!breaker_.Allow(start_us)) {
-    // Breaker open: skip model scoring, serve the popularity ranking.
+  if (options_.score_cache_capacity > 0) {
+    const uint64_t cache_t0 = obs::NowMicros();
+    served = CacheLookup(*snap, encoding, retrieval, req, &resp);
+    ctx->stage(Stage::kCache) = obs::NowMicros() - cache_t0;
+  }
+
+  // Deepest rung: no kernel at all. A cache miss serves the popularity
+  // ranking — still an answer, at the cost of personalization, never of
+  // availability.
+  if (!served && brownout_applies && brownout >= BrownoutLevel::kCacheOnly) {
+    OBS_COUNT("serve.overload.cache_only_served", 1);
     const uint64_t score_t0 = obs::NowMicros();
     resp = ServeDegraded(*snap, req);
-    resp.brownout = brownout;
     ctx->stage(Stage::kScore) = obs::NowMicros() - score_t0;
     served = true;
-  } else {
-    // Resolve the encoding this request actually scores with: a requested
-    // quantized copy the snapshot does not carry degrades to the f32
-    // reference for this request only. A brownout rung at or past
-    // kQuantized forces the cheapest quantized copy the snapshot carries.
-    eval::ScoreEncoding encoding = options_.encoding;
-    if (brownout_applies && brownout >= BrownoutLevel::kQuantized) {
-      if (snap->has_int8()) {
-        encoding = eval::ScoreEncoding::kInt8;
-      } else if (snap->has_bf16()) {
-        encoding = eval::ScoreEncoding::kBf16;
-      }
-    }
-    if ((encoding == eval::ScoreEncoding::kInt8 && !snap->has_int8()) ||
-        (encoding == eval::ScoreEncoding::kBf16 && !snap->has_bf16())) {
-      OBS_COUNT("serve.encoding_fallbacks", 1);
-      encoding = eval::ScoreEncoding::kF32;
-    }
-    // Resolve the retrieval path: a per-request exact override always
-    // wins, a brownout rung at or past kIvf forces the index when one
-    // exists, and an ivf default degrades to exact for this request when
-    // the snapshot carries no index (build failed or never requested).
-    RetrievalMode retrieval = options_.retrieval;
-    if (req.exact) {
-      retrieval = RetrievalMode::kExact;
-    } else if (brownout >= BrownoutLevel::kIvf && snap->has_index()) {
-      retrieval = RetrievalMode::kIvf;
-    } else if (retrieval == RetrievalMode::kIvf && !snap->has_index()) {
-      OBS_COUNT("serve.retrieval.exact_fallbacks", 1);
-      retrieval = RetrievalMode::kExact;
-    }
+  }
 
-    if (options_.score_cache_capacity > 0) {
-      const uint64_t cache_t0 = obs::NowMicros();
-      const bool hit = CacheLookup(*snap, encoding, retrieval, req, &resp);
-      ctx->stage(Stage::kCache) = obs::NowMicros() - cache_t0;
-      if (hit) {
-        resp.brownout = brownout;
-        breaker_.RecordSuccess();
-        served = true;
+  if (!served) {
+    const uint64_t score_t0 = obs::NowMicros();
+    eval::RankDeadline deadline;
+    if (req.budget_us > 0) deadline.deadline_us = start_us + req.budget_us;
+    std::vector<std::vector<float>> scores;
+    eval::RankDeadline* dl = req.budget_us > 0 ? &deadline : nullptr;
+    int64_t candidates_scored = 0;
+    std::vector<std::vector<int32_t>> ranked = ScoreTopK(
+        *snap, req, encoding, retrieval, dl, &scores, &candidates_scored);
+    ctx->stage(Stage::kScore) = obs::NowMicros() - score_t0;
+
+    // Only model-scored outcomes feed the deadline trip: cache hits and
+    // popularity answers say nothing about the scoring path's health.
+    const bool expired = deadline.expired.load(std::memory_order_relaxed);
+    brownout_.OnScored(expired, obs::NowMicros());
+    if (expired) {
+      if (ranked[0].empty()) {
+        OBS_COUNT("serve.deadline_errors", 1);
+        OBS_OBSERVE("serve.latency_us", LatencyBounds(),
+                    obs::NowMicros() - start_us);
+        return fail(util::DeadlineExceededError(
+            "budget " + std::to_string(req.budget_us) +
+            "us spent before any item tile was scored"));
       }
+      OBS_COUNT("serve.deadline_partial", 1);
+      resp.partial = true;
+    }
+    resp.encoding = encoding;
+    resp.retrieval = retrieval;
+    resp.candidates = candidates_scored;
+    resp.snapshot_version = snap->version();
+    resp.items.resize(ranked[0].size());
+    for (size_t i = 0; i < ranked[0].size(); ++i) {
+      resp.items[i] = ScoredItem{ranked[0][i], scores[0][i]};
+    }
+    if (options_.score_cache_capacity > 0 && !resp.partial) {
+      CacheInsert(*snap, encoding, retrieval, req, resp);
     }
 
-    // Deepest rung: no kernel at all. A cache miss serves the popularity
-    // ranking — still an answer, at the cost of personalization, never of
-    // availability.
-    if (!served && brownout_applies &&
-        brownout >= BrownoutLevel::kCacheOnly) {
-      OBS_COUNT("serve.overload.cache_only_served", 1);
-      const uint64_t score_t0 = obs::NowMicros();
-      resp = ServeDegraded(*snap, req);
-      resp.brownout = brownout;
-      ctx->stage(Stage::kScore) = obs::NowMicros() - score_t0;
-      served = true;
-    }
-
-    if (!served) {
-      const uint64_t score_t0 = obs::NowMicros();
-      eval::RankDeadline deadline;
-      if (req.budget_us > 0) deadline.deadline_us = start_us + req.budget_us;
-      std::vector<std::vector<float>> scores;
-      eval::RankDeadline* dl = req.budget_us > 0 ? &deadline : nullptr;
-      int64_t candidates_scored = 0;
-      std::vector<std::vector<int32_t>> ranked = ScoreTopK(
-          *snap, req, encoding, retrieval, dl, &scores, &candidates_scored);
-      ctx->stage(Stage::kScore) = obs::NowMicros() - score_t0;
-
-      const bool expired =
-          deadline.expired.load(std::memory_order_relaxed);
-      if (!expired) {
-        breaker_.RecordSuccess();
-      } else {
-        breaker_.RecordFailure(obs::NowMicros());
-        if (ranked[0].empty()) {
-          OBS_COUNT("serve.deadline_errors", 1);
-          OBS_OBSERVE("serve.latency_us", LatencyBounds(),
-                      obs::NowMicros() - start_us);
-          return fail(util::DeadlineExceededError(
-              "budget " + std::to_string(req.budget_us) +
-              "us spent before any item tile was scored"));
-        }
-        OBS_COUNT("serve.deadline_partial", 1);
-        resp.partial = true;
-      }
-      resp.encoding = encoding;
-      resp.retrieval = retrieval;
-      resp.candidates = candidates_scored;
-      resp.snapshot_version = snap->version();
-      resp.items.resize(ranked[0].size());
-      for (size_t i = 0; i < ranked[0].size(); ++i) {
-        resp.items[i] = ScoredItem{ranked[0][i], scores[0][i]};
-      }
-      if (options_.score_cache_capacity > 0 && !resp.partial) {
-        CacheInsert(*snap, encoding, retrieval, req, resp);
-      }
-
-      // Live recall monitor: every Nth complete index-served response is
-      // re-ranked exactly (no deadline — the sample must be complete) and
-      // the top-K overlap published as a gauge. One extra full scan per N
-      // requests, on the request's own thread.
-      if (retrieval == RetrievalMode::kIvf && !resp.partial &&
-          options_.recall_sample_every > 0 &&
-          ivf_served_.fetch_add(1, std::memory_order_relaxed) %
-                  options_.recall_sample_every ==
-              0) {
-        std::vector<std::vector<float>> exact_scores;
-        int64_t exact_candidates = 0;
-        const std::vector<std::vector<int32_t>> exact_ranked =
-            ScoreTopK(*snap, req, encoding, RetrievalMode::kExact, nullptr,
-                      &exact_scores, &exact_candidates);
-        std::vector<int32_t> a = ranked[0], b = exact_ranked[0];
-        std::sort(a.begin(), a.end());
-        std::sort(b.begin(), b.end());
-        std::vector<int32_t> both;
-        std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                              std::back_inserter(both));
-        const double overlap =
-            b.empty() ? 1.0
-                      : static_cast<double>(both.size()) /
-                            static_cast<double>(b.size());
-        OBS_COUNT("serve.retrieval.recall_samples", 1);
-        OBS_GAUGE("serve.retrieval.recall_sample", overlap);
-      }
+    // Live recall monitor: every Nth complete index-served response is
+    // re-ranked exactly (no deadline — the sample must be complete) and
+    // the top-K overlap published as a gauge. One extra full scan per N
+    // requests, on the request's own thread.
+    if (retrieval == RetrievalMode::kIvf && !resp.partial &&
+        options_.recall_sample_every > 0 &&
+        ivf_served_.fetch_add(1, std::memory_order_relaxed) %
+                options_.recall_sample_every ==
+            0) {
+      std::vector<std::vector<float>> exact_scores;
+      int64_t exact_candidates = 0;
+      const std::vector<std::vector<int32_t>> exact_ranked =
+          ScoreTopK(*snap, req, encoding, RetrievalMode::kExact, nullptr,
+                    &exact_scores, &exact_candidates);
+      std::vector<int32_t> a = ranked[0], b = exact_ranked[0];
+      std::sort(a.begin(), a.end());
+      std::sort(b.begin(), b.end());
+      std::vector<int32_t> both;
+      std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                            std::back_inserter(both));
+      const double overlap =
+          b.empty() ? 1.0
+                    : static_cast<double>(both.size()) /
+                          static_cast<double>(b.size());
+      OBS_COUNT("serve.retrieval.recall_samples", 1);
+      OBS_GAUGE("serve.retrieval.recall_sample", overlap);
     }
   }
 
+  resp.brownout = brownout;
   ctx->cached = resp.cached;
   ctx->partial = resp.partial;
   ctx->degraded = resp.degraded;

@@ -37,16 +37,18 @@
 //                nothing was scored (serve.deadline_errors) — which is
 //                what a budget already spent at scoring time gets, exact
 //                and ivf alike
-//   brownout     with overload.brownout.enabled, sustained SLO breach
-//                (serving_stats' SloMonitor) steps the serving mode down
-//                exact -> ivf -> quantized -> cache/popularity-only and
-//                back up with hysteresis (serve.overload.brownout_level;
-//                per-request in RequestContext::brownout)
-//   degradation  deadline failures feed a CircuitBreaker; while it is
-//                open, requests skip model scoring and serve the
-//                snapshot's popularity ranking flagged `degraded`
-//                (serve.degraded) — the service answers something
-//                sensible even when scoring is unhealthy
+//   brownout     one BrownoutController picks the rung every request is
+//                served under (serve.overload.brownout_level; per-request
+//                in RequestContext::brownout). With overload.brownout.
+//                enabled, sustained SLO breach (serving_stats'
+//                SloMonitor) steps the serving mode down exact -> ivf ->
+//                quantized -> cache/popularity-only and back up with
+//                hysteresis. Always, a streak of deadline expiries among
+//                scored requests trips it straight to cache-only for a
+//                hold. At that rung a cache miss skips model scoring and
+//                serves the snapshot's popularity ranking flagged
+//                `degraded` (serve.degraded) — the service answers
+//                something sensible even when scoring is unhealthy
 //
 // Scoring encoding: options.encoding selects which embedding copy the
 // request scores against — f32 (the bit-exact reference, default), int8,
@@ -105,7 +107,6 @@
 #include <vector>
 
 #include "eval/fused_rank.h"
-#include "serve/circuit_breaker.h"
 #include "serve/overload.h"
 #include "serve/request_context.h"
 #include "serve/serving_stats.h"
@@ -122,7 +123,8 @@ struct RecommendRequest {
   uint64_t budget_us = 0;
   /// Force the exact full-scan path for this request even when the service
   /// defaults to ivf retrieval — the bit-exact reference used by parity
-  /// tests and recall sampling. Also exempt from brownout mode forcing.
+  /// tests and recall sampling. Also exempt from every brownout rung, the
+  /// deadline trip included.
   bool exact = false;
   /// Admission class; under overload lower classes are shed first.
   Priority priority = Priority::kInteractive;
@@ -167,9 +169,9 @@ struct RecommendServiceOptions {
   int64_t queue_capacity = 64;
   /// Adaptive concurrency limiter, priority shedding hints, and the
   /// brownout ladder (see serve/overload.h). Defaults preserve the static
-  /// behavior: limit = queue_capacity, brownout off.
+  /// behavior: limit = queue_capacity, SLO ladder off (the deadline trip is
+  /// always on).
   OverloadOptions overload;
-  CircuitBreaker::Options breaker;
   /// Rank traversal tiling (runs on the shared compute pool).
   eval::FusedRankConfig rank;
   /// Embedding encoding requests score against (per-request f32 fallback
@@ -251,8 +253,6 @@ class RecommendService {
   /// brownout rung) for HealthReporter and tests.
   OverloadState overload_state() const;
 
-  CircuitBreaker& breaker() { return breaker_; }
-  const CircuitBreaker& breaker() const { return breaker_; }
   const AdaptiveLimiter& limiter() const { return limiter_; }
   const BrownoutController& brownout() const { return brownout_; }
   /// Live per-stage quantiles + SLO burn state fed by finished requests.
@@ -330,7 +330,6 @@ class RecommendService {
 
   SnapshotStore* const store_;
   const RecommendServiceOptions options_;
-  CircuitBreaker breaker_;
   ServingStats stats_;
   AdaptiveLimiter limiter_;
   BrownoutController brownout_;

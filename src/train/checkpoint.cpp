@@ -26,10 +26,7 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr char kMagic[4] = {'L', 'G', 'C', 'N'};
-constexpr uint32_t kVersionV1 = 1;
 constexpr uint32_t kVersionV2 = 2;
-// magic + version + section/param count.
-constexpr size_t kHeaderBytes = 12;
 
 // v2 section tags. Unknown tags are skipped on load.
 enum SectionTag : uint32_t {
@@ -606,13 +603,6 @@ util::Status ParseV2(const std::string& path, ByteReader* in,
   return util::OkStatus();
 }
 
-util::Status ParseV1(const std::string& path, ByteReader* in,
-                     ParsedCheckpoint* parsed) {
-  // v1 body: uint32 param count | per param: name/rows/cols/values. One
-  // flat record, no CRC — truncation is the only detectable corruption.
-  return ParseMatrixTable(path, "parameter", in, &parsed->values);
-}
-
 util::Status ParseCheckpointImage(const std::string& path,
                                   const std::string& image,
                                   ParsedCheckpoint* parsed) {
@@ -626,16 +616,15 @@ util::Status ParseCheckpointImage(const std::string& path,
   if (!in.ReadPod(&version)) {
     return util::DataLossError(path + ": truncated header");
   }
-  if (version == kVersionV1) return ParseV1(path, &in, parsed);
-  if (version == kVersionV2) {
-    uint32_t section_count = 0;
-    if (!in.ReadPod(&section_count)) {
-      return util::DataLossError(path + ": truncated header");
-    }
-    return ParseV2(path, &in, section_count, parsed);
+  if (version != kVersionV2) {
+    return util::DataLossError(path + ": unsupported checkpoint version " +
+                               std::to_string(version));
   }
-  return util::DataLossError(path + ": unsupported checkpoint version " +
-                             std::to_string(version));
+  uint32_t section_count = 0;
+  if (!in.ReadPod(&section_count)) {
+    return util::DataLossError(path + ": truncated header");
+  }
+  return ParseV2(path, &in, section_count, parsed);
 }
 
 // Copies `table[name]` into `dst` when present with the right shape.
@@ -1003,37 +992,6 @@ util::Status CheckpointManager::RestoreLatest(
   return util::NotFoundError("no valid checkpoint in " + dir_ + " (" +
                              std::to_string(files.size()) +
                              " corrupt files skipped)");
-}
-
-// ---------------------------------------------------------------------------
-// Legacy die-on-error entry points.
-
-void SaveCheckpoint(const std::string& path,
-                    const std::vector<Parameter*>& params) {
-  const util::Status s = SaveCheckpointV2(path, params, nullptr);
-  LAYERGCN_CHECK(s.ok()) << s.message();
-}
-
-int LoadCheckpoint(const std::string& path,
-                   const std::vector<Parameter*>& params) {
-  const util::StatusOr<int> restored =
-      LoadCheckpointV2(path, params, nullptr);
-  LAYERGCN_CHECK(restored.ok()) << restored.status().message();
-  return restored.value();
-}
-
-bool IsCheckpointFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) return false;
-  // A complete header is magic + version + count; anything shorter is a
-  // truncated header, not a checkpoint.
-  char header[kHeaderBytes];
-  in.read(header, sizeof(header));
-  if (static_cast<size_t>(in.gcount()) != sizeof(header)) return false;
-  if (!std::equal(header, header + 4, kMagic)) return false;
-  uint32_t version = 0;
-  std::memcpy(&version, header + 4, sizeof(version));
-  return version == kVersionV1 || version == kVersionV2;
 }
 
 }  // namespace layergcn::train

@@ -29,11 +29,8 @@
 // rotating last-K retention and falls back to the newest *valid* file when
 // the latest is torn or corrupt.
 //
-// Format v1 (magic | version=1 | param count | name/shape/values entries)
-// remains loadable as a params-only checkpoint. I/O and corruption
-// problems surface as util::Status (never aborts); the legacy void/int
-// entry points below wrap the Status API and keep their historical
-// die-on-error behavior for callers that want it.
+// Any other version (the retired params-only v1 included) is DataLoss. I/O
+// and corruption problems surface as util::Status; nothing here aborts.
 
 #ifndef LAYERGCN_TRAIN_CHECKPOINT_H_
 #define LAYERGCN_TRAIN_CHECKPOINT_H_
@@ -71,7 +68,7 @@ struct TrainingState {
   uint64_t sampler_cursor = 0;
 
   /// Trainer RNG stream state; has_rng distinguishes a restored stream
-  /// from a params-only (v1 or legacy-save) checkpoint.
+  /// from a params-only checkpoint.
   bool has_rng = false;
   util::Rng::State rng;
 
@@ -91,10 +88,11 @@ util::Status SaveCheckpointV2(const std::string& path,
                               const std::vector<Parameter*>& params,
                               const TrainingState* state);
 
-/// Loads parameter values (and, for v2 files, Adam moments) into matching
-/// parameters by name; `state` (optional) receives the training state when
-/// the file carries it. v1 files restore values only. Returns the number
-/// of parameters restored, or a Status describing the corruption /
+/// Loads parameter values and Adam moments into matching parameters by
+/// name; `state` (optional) receives the training state when the file
+/// carries it. Every parameter in `params` must be present in the file with
+/// an identical shape; extra entries in the file are ignored. Returns the
+/// number of parameters restored, or a Status describing the corruption /
 /// mismatch — never aborts.
 util::StatusOr<int> LoadCheckpointV2(const std::string& path,
                                      const std::vector<Parameter*>& params,
@@ -188,23 +186,6 @@ util::Status SaveServingExport(const std::string& path,
 /// the fault points `serve.snapshot_bit_flip` / `serve.reload_torn_read`
 /// damage the in-memory file image on the next read when armed.
 util::StatusOr<ServingExport> LoadServingExport(const std::string& path);
-
-/// Legacy entry point: writes a params-only v2 checkpoint. Aborts on I/O
-/// failure or duplicate parameter names.
-void SaveCheckpoint(const std::string& path,
-                    const std::vector<Parameter*>& params);
-
-/// Legacy entry point: loads values into matching parameters (by name).
-/// Every parameter in `params` must be present in the file with an
-/// identical shape; extra entries in the file are ignored. Returns the
-/// number of parameters restored; aborts on any error.
-int LoadCheckpoint(const std::string& path,
-                   const std::vector<Parameter*>& params);
-
-/// True if `path` looks like a checkpoint: long enough to hold a complete
-/// header and carrying the magic plus a supported version (1 or 2). A
-/// truncated header is not a checkpoint.
-bool IsCheckpointFile(const std::string& path);
 
 }  // namespace layergcn::train
 

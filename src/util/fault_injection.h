@@ -27,7 +27,8 @@
 //   serve.slow_score         the fused rank kernel stalls past the
 //                            request deadline (only fires when a request
 //                            carries a budget) -> partial result or
-//                            DeadlineExceeded, breaker food
+//                            DeadlineExceeded; a streak of them trips
+//                            the brownout controller to cache-only
 //
 // Pipeline points (src/pipeline/):
 //   wal.torn_write           a WAL commit persists only a mid-frame prefix

@@ -173,11 +173,16 @@ TEST_F(CheckpointV2Test, FlippedCrcByteIsDataLoss) {
   std::remove(path.c_str());
 }
 
-// Hand-written v1 blob: magic | version=1 | count | name/shape/values.
-std::string V1Blob(const std::vector<std::pair<std::string, float>>& entries) {
+// Hand-written checkpoint image: magic | version | then `body`.
+std::string Image(uint32_t version, const std::string& body) {
   std::string out("LGCN", 4);
-  const uint32_t version = 1;
   out.append(reinterpret_cast<const char*>(&version), 4);
+  return out + body;
+}
+
+// A named-matrix table of 1x1 entries: count | name/shape/value entries.
+std::string Table(const std::vector<std::pair<std::string, float>>& entries) {
+  std::string out;
   const uint32_t count = static_cast<uint32_t>(entries.size());
   out.append(reinterpret_cast<const char*>(&count), 4);
   for (const auto& [name, value] : entries) {
@@ -192,34 +197,58 @@ std::string V1Blob(const std::vector<std::pair<std::string, float>>& entries) {
   return out;
 }
 
-TEST_F(CheckpointV2Test, V1FileLoadsParamsOnly) {
-  const std::string path = TempPath("v1_compat.lgcn");
-  {
-    std::ofstream out(path, std::ios::binary);
-    const std::string blob = V1Blob({{"alpha", 2.5f}, {"beta", -1.0f}});
-    out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-  }
-  EXPECT_TRUE(IsCheckpointFile(path));
-  Parameter a("alpha", 1, 1), b("beta", 1, 1);
-  TrainingState st;
-  st.epoch = 99;  // must stay untouched: v1 carries no state
-  const util::StatusOr<int> r = LoadCheckpointV2(path, {&a, &b}, &st);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r.value(), 2);
-  EXPECT_EQ(a.value(0, 0), 2.5f);
-  EXPECT_EQ(b.value(0, 0), -1.0f);
-  EXPECT_EQ(st.epoch, 99);
-  EXPECT_FALSE(st.has_rng);
+// A v2 body holding one CRC-valid parameter-value section (tag 3).
+std::string ValuesSection(const std::string& table) {
+  std::string out;
+  const uint32_t count = 1, tag = 3;
+  const uint64_t len = table.size();
+  const uint32_t crc = util::Crc32(table.data(), table.size());
+  out.append(reinterpret_cast<const char*>(&count), 4);
+  out.append(reinterpret_cast<const char*>(&tag), 4);
+  out.append(reinterpret_cast<const char*>(&len), 8);
+  out.append(table);
+  out.append(reinterpret_cast<const char*>(&crc), 4);
+  return out;
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST_F(CheckpointV2Test, V1FileIsUnsupportedDataLoss) {
+  // The retired params-only v1 layout: magic | version=1 | table.
+  const std::string path = TempPath("v1_retired.lgcn");
+  WriteFile(path, Image(1, Table({{"alpha", 2.5f}, {"beta", -1.0f}})));
+  Parameter a("alpha", 1, 1);
+  const util::StatusOr<int> r = LoadCheckpointV2(path, {&a}, nullptr);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), util::StatusCode::kDataLoss);
+  EXPECT_NE(r.status().message().find("unsupported checkpoint version 1"),
+            std::string::npos)
+      << r.status().ToString();
+  EXPECT_EQ(a.value(0, 0), 0.f);  // untouched
+  std::remove(path.c_str());
+}
+
+TEST_F(CheckpointV2Test, MalformedHeaderIsDataLoss) {
+  const std::string path = TempPath("v2_bad_header.lgcn");
+  // Magic plus one byte: the version is truncated.
+  WriteFile(path, std::string("LGCN\x02", 5));
+  EXPECT_EQ(ValidateCheckpoint(path).code(), util::StatusCode::kDataLoss);
+  // No magic at all.
+  WriteFile(path, "not a checkpoint");
+  EXPECT_EQ(ValidateCheckpoint(path).code(), util::StatusCode::kDataLoss);
+  // A complete header with an unknown version.
+  WriteFile(path, Image(9, std::string(4, '\0')));
+  EXPECT_EQ(ValidateCheckpoint(path).code(), util::StatusCode::kDataLoss);
   std::remove(path.c_str());
 }
 
 TEST_F(CheckpointV2Test, DuplicateParamNameInFileIsDataLoss) {
-  const std::string path = TempPath("v1_dup.lgcn");
-  {
-    std::ofstream out(path, std::ios::binary);
-    const std::string blob = V1Blob({{"same", 1.f}, {"same", 2.f}});
-    out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-  }
+  const std::string path = TempPath("v2_dup.lgcn");
+  WriteFile(path, Image(2, ValuesSection(Table({{"same", 1.f},
+                                                {"same", 2.f}}))));
   Parameter p("same", 1, 1);
   const util::StatusOr<int> r = LoadCheckpointV2(path, {&p}, nullptr);
   ASSERT_FALSE(r.ok());

@@ -1,13 +1,13 @@
 // Overload-control suite: AIMD limiter arithmetic on a synthetic clock,
-// brownout ladder hysteresis, strict-priority admission/eviction, and a
-// TSan-hunting storm that races Submit() floods against limiter
-// adaptation, brownout transitions, and snapshot hot-swaps.
+// brownout ladder hysteresis and the deadline trip, the service's latency
+// smoothing, strict-priority admission/eviction, and a TSan-hunting storm
+// that races Submit() floods against limiter adaptation, brownout
+// transitions, and snapshot hot-swaps.
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <filesystem>
 #include <future>
 #include <mutex>
 #include <string>
@@ -21,43 +21,18 @@
 #include "serve/overload.h"
 #include "serve/recommend_service.h"
 #include "serve/snapshot.h"
-#include "train/checkpoint.h"
+#include "test_util.h"
 #include "util/fault_injection.h"
 #include "util/parallel.h"
-#include "util/rng.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
 namespace layergcn::serve {
 namespace {
 
-namespace fs = std::filesystem;
 using SloState = obs::SloMonitor::State;
-
-std::string TempDirFor(const char* name) {
-  const std::string dir = std::string(::testing::TempDir()) + "/" + name;
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
-
-train::ServingExport SmallExport(int64_t version) {
-  train::ServingExport ex;
-  ex.version = version;
-  ex.user_emb = tensor::Matrix(3, 4);
-  ex.item_emb = tensor::Matrix(6, 4);
-  util::Rng rng(7 + static_cast<uint64_t>(version));
-  ex.user_emb.UniformInit(&rng, -1.f, 1.f);
-  ex.item_emb.UniformInit(&rng, -1.f, 1.f);
-  ex.user_history = {{0, 1}, {0, 2}, {0, 1, 3}};
-  return ex;
-}
-
-void SaveSmall(const std::string& dir, int64_t version) {
-  const util::Status s = train::SaveServingExport(
-      SnapshotStore::SnapshotPath(dir, version), SmallExport(version));
-  ASSERT_TRUE(s.ok()) << s.ToString();
-}
+using testing::SaveSmall;
+using testing::TempDirFor;
 
 class OverloadTest : public ::testing::Test {
  protected:
@@ -171,15 +146,6 @@ TEST_F(OverloadTest, LimiterExpiryIsAnImmediateCongestionSignal) {
   EXPECT_EQ(limiter.limit(), 2);
 }
 
-TEST_F(OverloadTest, LimiterSmoothsLatencyForRetryHints) {
-  AdaptiveLimiter limiter(SmallLimiter());
-  EXPECT_EQ(limiter.smoothed_latency_us(), 0u);
-  limiter.OnComplete(1'000, 800, false);
-  EXPECT_EQ(limiter.smoothed_latency_us(), 800u);  // first sample seeds
-  limiter.OnComplete(2'000, 800, false);
-  EXPECT_NEAR(static_cast<double>(limiter.smoothed_latency_us()), 800.0, 8.0);
-}
-
 // --- BrownoutController --------------------------------------------------
 
 BrownoutController::Options FastBrownout() {
@@ -242,6 +208,78 @@ TEST_F(OverloadTest, BrownoutRespectsMaxLevelAndDisabled) {
   EXPECT_EQ(off.OnSloState(SloState::kBreach, 10'000), BrownoutLevel::kNone);
   EXPECT_EQ(off.OnSloState(SloState::kBreach, 20'000), BrownoutLevel::kNone);
   EXPECT_EQ(off.transitions(), 0);
+}
+
+TEST_F(OverloadTest, DeadlineStreakTripsHoldsAndReleasesToNone) {
+  BrownoutController::Options o = FastBrownout();
+  o.enabled = false;  // the trip works without the SLO ladder
+  BrownoutController controller(o);
+  const obs::MetricsSnapshot before =
+      obs::MetricsRegistry::Global().Snapshot();
+  const int below = BrownoutController::kTripStreak - 1;
+
+  // kTripStreak - 1 expiries do not trip, and a completion resets them.
+  for (int i = 0; i < below; ++i) controller.OnScored(true, 1'000);
+  EXPECT_EQ(controller.Resolve(1'000), BrownoutLevel::kNone);
+  controller.OnScored(false, 1'100);
+  for (int i = 0; i < below; ++i) controller.OnScored(true, 1'200);
+  EXPECT_EQ(controller.Resolve(1'200), BrownoutLevel::kNone);
+  // The next expiry completes the streak: straight to the deepest rung.
+  controller.OnScored(true, 2'000);
+  EXPECT_EQ(controller.level(), BrownoutLevel::kCacheOnly);
+  EXPECT_EQ(controller.OnSloState(SloState::kOk, 2'500),
+            BrownoutLevel::kCacheOnly);
+  EXPECT_EQ(controller.Resolve(2'999), BrownoutLevel::kCacheOnly);
+  // After step_down_hold_us the trip releases to the disabled ladder's
+  // rung, kNone.
+  EXPECT_EQ(controller.Resolve(3'000), BrownoutLevel::kNone);
+  EXPECT_EQ(controller.transitions(), 2);
+
+  // The first scored request after a release is the probe: one expiry
+  // trips again at once...
+  controller.OnScored(true, 3'100);
+  EXPECT_EQ(controller.level(), BrownoutLevel::kCacheOnly);
+  EXPECT_EQ(controller.Resolve(4'100), BrownoutLevel::kNone);
+  // ...and one completion clears the streak.
+  controller.OnScored(false, 4'200);
+  for (int i = 0; i < below; ++i) controller.OnScored(true, 4'300);
+  EXPECT_EQ(controller.Resolve(4'300), BrownoutLevel::kNone);
+  EXPECT_EQ(controller.transitions(), 4);
+
+  const obs::MetricsSnapshot after = obs::MetricsRegistry::Global().Snapshot();
+  EXPECT_EQ(after.CounterDelta(before, "serve.overload.deadline_trips"), 2u);
+  EXPECT_EQ(after.CounterDelta(before, "serve.overload.brownout_transitions"),
+            4u);
+}
+
+TEST_F(OverloadTest, DeadlineTripIgnoresMaxLevelAndReleasesToTheLadderRung) {
+  BrownoutController::Options o = FastBrownout();
+  o.max_level = 1;
+  BrownoutController shallow(o);
+  EXPECT_EQ(shallow.OnSloState(SloState::kBreach, 10'000),
+            BrownoutLevel::kIvf);
+  for (int i = 0; i < BrownoutController::kTripStreak; ++i) {
+    shallow.OnScored(true, 10'100);
+  }
+  EXPECT_EQ(shallow.level(), BrownoutLevel::kCacheOnly);
+  EXPECT_EQ(shallow.OnSloState(SloState::kBreach, 11'000),
+            BrownoutLevel::kCacheOnly);
+  EXPECT_EQ(shallow.OnSloState(SloState::kBreach, 11'100),
+            BrownoutLevel::kIvf);
+  EXPECT_EQ(shallow.transitions(), 3);
+
+  // The ladder keeps stepping underneath a trip; the release lands on the
+  // rung it reached.
+  BrownoutController deep(FastBrownout());
+  EXPECT_EQ(deep.OnSloState(SloState::kBreach, 10'000), BrownoutLevel::kIvf);
+  for (int i = 0; i < BrownoutController::kTripStreak; ++i) {
+    deep.OnScored(true, 10'100);
+  }
+  EXPECT_EQ(deep.OnSloState(SloState::kBreach, 11'000),
+            BrownoutLevel::kCacheOnly);
+  EXPECT_EQ(deep.OnSloState(SloState::kWarn, 11'100),
+            BrownoutLevel::kQuantized);
+  EXPECT_EQ(deep.transitions(), 3);
 }
 
 // --- Strict-priority admission -------------------------------------------
@@ -327,6 +365,47 @@ TEST_F(OverloadTest, CapacityEvictsLowestClassNewestFirst) {
     EXPECT_EQ(after.CounterDelta(before, "serve.shed.background"), 1u);
     EXPECT_EQ(after.CounterDelta(before, "serve.shed.interactive"), 0u);
   }
+}
+
+// --- Latency smoothing -----------------------------------------------------
+
+TEST_F(OverloadTest, ServiceSmoothsLatencyForRetryHints) {
+  const std::string dir = TempDirFor("overload_ewma");
+  SaveSmall(dir, 1);
+  SnapshotStore store(dir);
+  ASSERT_TRUE(store.Reload().ok());
+
+  // One blocked compute-pool worker holds the first request queued for at
+  // least 50ms, so its submit-to-finish latency dwarfs the second's.
+  util::ThreadPool pool(1);
+  util::parallel::ScopedComputePool scope(&pool);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  pool.Submit([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return release; });
+  });
+  RecommendService service(&store);
+  EXPECT_EQ(service.overload_state().smoothed_latency_us, 0u);
+
+  auto slow = service.Submit({0, 3, 0});
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  ASSERT_TRUE(slow.get().ok());
+  // The first sample seeds the average whole, not at weight 1/8.
+  const uint64_t seeded = service.overload_state().smoothed_latency_us;
+  EXPECT_GE(seeded, 50'000u);
+
+  // A fast sample moves it by 1/8 of the difference.
+  ASSERT_TRUE(service.Submit({1, 3, 0}).get().ok());
+  const uint64_t smoothed = service.overload_state().smoothed_latency_us;
+  EXPECT_LT(smoothed, seeded);
+  EXPECT_GE(smoothed, seeded - seeded / 8);
 }
 
 // --- The storm: Submit() floods vs adaptation vs hot-swap ----------------

@@ -25,6 +25,7 @@
 #include "pipeline/warm_start.h"
 #include "serve/snapshot.h"
 #include "tensor/matrix.h"
+#include "test_util.h"
 #include "train/checkpoint.h"
 #include "train/stop_token.h"
 #include "util/fault_injection.h"
@@ -36,13 +37,7 @@ namespace layergcn::pipeline {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string TempDirFor(const char* name) {
-  const std::string dir = std::string(::testing::TempDir()) + "/" + name;
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
+using testing::TempDirFor;
 
 // On-disk segment geometry (mirrors wal.cpp): 16-byte header, then
 // 24-byte frames (uint32 len | 16-byte payload | uint32 crc).

@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <filesystem>
 #include <limits>
 #include <string>
 #include <vector>
@@ -29,14 +28,7 @@
 namespace layergcn::serve {
 namespace {
 
-namespace fs = std::filesystem;
-
-std::string TempDirFor(const char* name) {
-  const std::string dir = std::string(::testing::TempDir()) + "/" + name;
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
+using testing::TempDirFor;
 
 tensor::Matrix RandomMatrix(int64_t rows, int64_t cols, uint64_t seed) {
   tensor::Matrix m(rows, cols);

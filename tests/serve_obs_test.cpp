@@ -21,42 +21,16 @@
 #include "serve/request_context.h"
 #include "serve/serving_stats.h"
 #include "serve/snapshot.h"
-#include "tensor/matrix.h"
-#include "train/checkpoint.h"
+#include "test_util.h"
 #include "util/fault_injection.h"
-#include "util/rng.h"
 #include "util/status.h"
 
 namespace layergcn::serve {
 namespace {
 
 namespace fs = std::filesystem;
-
-// A fresh directory under the test temp root.
-std::string TempDirFor(const char* name) {
-  const std::string dir = std::string(::testing::TempDir()) + "/" + name;
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
-
-train::ServingExport SmallExport(int64_t version) {
-  train::ServingExport ex;
-  ex.version = version;
-  ex.user_emb = tensor::Matrix(3, 4);
-  ex.item_emb = tensor::Matrix(6, 4);
-  util::Rng rng(7 + static_cast<uint64_t>(version));
-  ex.user_emb.UniformInit(&rng, -1.f, 1.f);
-  ex.item_emb.UniformInit(&rng, -1.f, 1.f);
-  ex.user_history = {{0, 1}, {0, 2}, {0, 1, 3}};
-  return ex;
-}
-
-void SaveSmall(const std::string& dir, int64_t version) {
-  const util::Status s = train::SaveServingExport(
-      SnapshotStore::SnapshotPath(dir, version), SmallExport(version));
-  ASSERT_TRUE(s.ok()) << s.ToString();
-}
+using testing::SaveSmall;
+using testing::TempDirFor;
 
 // An SLO with a 10% error budget so a handful of synthetic requests can
 // move the state machine.
@@ -394,20 +368,28 @@ TEST_F(ServeObsTest, IsServerErrorClassification) {
 TEST_F(ServeObsTest, HealthReadinessLadder) {
   const std::string dir = TempDirFor("serve_obs_health");
   SnapshotStore store(dir);
-  RecommendService service(&store);
+  // 64 items at item_tile 16: a serve.slow_score stall expires the request
+  // at the second item run's boundary.
+  RecommendServiceOptions opt;
+  opt.rank.item_tile = 16;
+  opt.overload.brownout.step_down_hold_us = 3600ull * 1'000'000ull;
+  RecommendService service(&store, opt);
   HealthReporter health(&store, &service, {});
   const uint64_t now = obs::NowMicros();
 
   // No snapshot published: the service cannot answer.
   EXPECT_EQ(health.StatusString(now), "unready");
 
-  SaveSmall(dir, 5);
+  SaveSmall(dir, 5, /*num_items=*/64);
   ASSERT_TRUE(store.Reload().ok());
   EXPECT_EQ(health.StatusString(now), "ok");
 
-  // An open breaker degrades the report without making it unready.
-  for (int i = 0; i < 10; ++i) service.breaker().RecordFailure(now);
-  EXPECT_EQ(service.breaker().state(), CircuitBreaker::State::kOpen);
+  // A deadline trip degrades the report without making it unready.
+  for (int i = 0; i < BrownoutController::kTripStreak; ++i) {
+    util::fault::Arm("serve.slow_score");
+    (void)service.Recommend({1, 3, /*budget_us=*/5'000});
+  }
+  EXPECT_EQ(service.brownout().level(), BrownoutLevel::kCacheOnly);
   EXPECT_EQ(health.StatusString(now), "degraded");
 }
 
@@ -432,7 +414,10 @@ TEST_F(ServeObsTest, HealthStatusJsonAndAtomicWrite) {
   ASSERT_NE(value.Find("snapshot"), nullptr);
   EXPECT_EQ(value.Find("snapshot")->Find("version")->number, 8.0);
   EXPECT_TRUE(value.Find("snapshot")->Find("loaded")->boolean);
-  ASSERT_NE(value.Find("breaker"), nullptr);
+  // The brownout rung is the one degradation state; there is no breaker.
+  EXPECT_EQ(value.Find("breaker"), nullptr);
+  ASSERT_NE(value.Find("overload"), nullptr);
+  EXPECT_EQ(value.Find("overload")->Find("brownout")->string, "none");
   ASSERT_NE(value.Find("slo"), nullptr);
   ASSERT_NE(value.Find("rates"), nullptr);
 

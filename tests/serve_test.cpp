@@ -1,6 +1,6 @@
 // Robustness suite for the serving subsystem: corrupt-snapshot fallback,
-// deadline expiry mid-block, queue-overflow shedding, circuit-breaker
-// transitions, degraded mode, and bit-identical parity between the
+// deadline expiry mid-block, queue-overflow shedding, the deadline trip to
+// the cache-only rung, and bit-identical parity between the
 // RecommendService ranking and the offline fused-kernel ranking.
 
 #include <atomic>
@@ -18,12 +18,15 @@
 
 #include "gtest/gtest.h"
 #include "eval/fused_rank.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
-#include "serve/circuit_breaker.h"
+#include "serve/access_log.h"
+#include "serve/health.h"
 #include "serve/recommend_service.h"
 #include "serve/snapshot.h"
 #include "tensor/matrix.h"
+#include "test_util.h"
 #include "train/checkpoint.h"
 #include "util/fault_injection.h"
 #include "util/parallel.h"
@@ -36,34 +39,9 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// A fresh directory under the test temp root.
-std::string TempDirFor(const char* name) {
-  const std::string dir = std::string(::testing::TempDir()) + "/" + name;
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
-
-// A small export with known popularity structure:
-//   counts: item0=3, item1=2, item2=1, item3=1, item4=0, item5=0
-//   popular_items (count desc, id asc): [0, 1, 2, 3, 4, 5]
-train::ServingExport SmallExport(int64_t version) {
-  train::ServingExport ex;
-  ex.version = version;
-  ex.user_emb = tensor::Matrix(3, 4);
-  ex.item_emb = tensor::Matrix(6, 4);
-  util::Rng rng(7 + static_cast<uint64_t>(version));
-  ex.user_emb.UniformInit(&rng, -1.f, 1.f);
-  ex.item_emb.UniformInit(&rng, -1.f, 1.f);
-  ex.user_history = {{0, 1}, {0, 2}, {0, 1, 3}};
-  return ex;
-}
-
-void SaveSmall(const std::string& dir, int64_t version) {
-  const util::Status s = train::SaveServingExport(
-      SnapshotStore::SnapshotPath(dir, version), SmallExport(version));
-  ASSERT_TRUE(s.ok()) << s.ToString();
-}
+using testing::SaveSmall;
+using testing::SmallExport;
+using testing::TempDirFor;
 
 class ServeTest : public ::testing::Test {
  protected:
@@ -348,66 +326,65 @@ TEST_F(ServeTest, BudgetExpiredWhileQueuedShedsAtDequeueNeverScored) {
   }
 }
 
-TEST_F(ServeTest, CircuitBreakerTransitions) {
-  CircuitBreaker::Options opt;
-  opt.failure_threshold = 2;
-  opt.open_cooldown_us = 100;
-  opt.half_open_probes = 1;
-  CircuitBreaker breaker(opt);
-
-  // Closed: everything is admitted; failures accumulate.
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
-  EXPECT_TRUE(breaker.Allow(1000));
-  breaker.RecordFailure(1000);
-  EXPECT_EQ(breaker.consecutive_failures(), 1);
-  EXPECT_TRUE(breaker.Allow(1001));
-  breaker.RecordFailure(1001);  // threshold hit -> open
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-
-  // Open: rejected until the cooldown elapses.
-  EXPECT_FALSE(breaker.Allow(1050));
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-
-  // Cooldown elapsed: half-open, one probe admitted, the rest rejected.
-  EXPECT_TRUE(breaker.Allow(1102));
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kHalfOpen);
-  EXPECT_FALSE(breaker.Allow(1103));
-
-  // Successful probe closes the breaker and resets the failure count.
-  breaker.RecordSuccess();
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
-  EXPECT_EQ(breaker.consecutive_failures(), 0);
-  EXPECT_TRUE(breaker.Allow(1104));
-
-  // Re-open, probe fails: straight back to open with a fresh cooldown.
-  breaker.RecordFailure(2000);
-  breaker.RecordFailure(2001);
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-  EXPECT_TRUE(breaker.Allow(2102));  // probe
-  breaker.RecordFailure(2103);
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-  EXPECT_FALSE(breaker.Allow(2150));
-  EXPECT_TRUE(breaker.Allow(2204));  // next cooldown elapsed
+// Options for the deadline-trip tests: 64 items at item_tile 16 make 4
+// item runs, so the serve.slow_score stall burns the budget inside the
+// first run and the second run's boundary check expires the request (a
+// single run could never expire).
+RecommendServiceOptions TripOptions(uint64_t hold_us) {
+  RecommendServiceOptions opt;
+  opt.rank.item_tile = 16;
+  opt.overload.brownout.step_down_hold_us = hold_us;
+  return opt;
 }
 
-TEST_F(ServeTest, OpenBreakerServesPopularityFallback) {
-  const std::string dir = TempDirFor("serve_degraded");
-  SaveSmall(dir, 1);
+// Expires kTripStreak scored requests for user 1 in a row. Either expiry
+// outcome feeds the streak: a partial ranking or DeadlineExceeded.
+void ExpireStreak(RecommendService* service, int count) {
+  for (int i = 0; i < count; ++i) {
+    util::fault::Arm("serve.slow_score");
+    const auto r = service->Recommend({1, 3, /*budget_us=*/5'000});
+    if (r.ok()) {
+      EXPECT_TRUE(r.value().partial) << i;
+    } else {
+      EXPECT_EQ(r.status().code(), util::StatusCode::kDeadlineExceeded) << i;
+    }
+  }
+}
+
+TEST_F(ServeTest, DeadlineTripServesPopularityCacheAndExact) {
+  const std::string dir = TempDirFor("serve_deadline_trip");
+  // f32 only: the cache-only rung keys its cache lookup by the quantized
+  // encoding it forces when the snapshot carries one, and user 0's entry
+  // below is cached at f32.
+  train::ServingExport ex = SmallExport(1, /*num_items=*/64);
+  ex.write_int8 = false;
+  ex.write_bf16 = false;
+  ASSERT_TRUE(
+      train::SaveServingExport(SnapshotStore::SnapshotPath(dir, 1), ex).ok());
   SnapshotStore store(dir);
   ASSERT_TRUE(store.Reload().ok());
+  // The ladder stays disabled; the hold outlasts the test.
+  RecommendService service(&store, TripOptions(3600ull * 1'000'000ull));
 
-  RecommendServiceOptions opt;
-  opt.breaker.failure_threshold = 1;
-  opt.breaker.open_cooldown_us = 3600ull * 1000000ull;  // stay open
-  RecommendService service(&store, opt);
-  service.breaker().RecordFailure(obs::NowMicros());
-  ASSERT_EQ(service.breaker().state(), CircuitBreaker::State::kOpen);
+  ASSERT_TRUE(service.Recommend({0, 3, 0}).ok());  // user 0 is cached
+  const obs::MetricsSnapshot before =
+      obs::MetricsRegistry::Global().Snapshot();
+  ExpireStreak(&service, BrownoutController::kTripStreak - 1);
+  EXPECT_EQ(service.brownout().level(), BrownoutLevel::kNone);
+  ExpireStreak(&service, 1);
+  EXPECT_EQ(service.brownout().level(), BrownoutLevel::kCacheOnly);
+  const obs::MetricsSnapshot after = obs::MetricsRegistry::Global().Snapshot();
+  EXPECT_EQ(after.CounterDelta(before, "serve.overload.deadline_trips"), 1u);
 
-  // User 1's history is {0, 2}; popularity minus history = [1, 3, 4, 5]
-  // with counts [2, 1, 0, 0].
-  const auto r = service.Recommend({1, 3, 0});
+  // Uncached, non-exact: the popularity ranking. User 1's history is
+  // {0, 2}; popularity minus history = [1, 3, 4, ...] with counts
+  // [2, 1, 0, ...].
+  RequestContext ctx;
+  const auto r = service.Recommend({1, 3, 0}, &ctx);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_TRUE(r.value().degraded);
+  EXPECT_FALSE(r.value().cached);
+  EXPECT_EQ(r.value().brownout, BrownoutLevel::kCacheOnly);
   ASSERT_EQ(r.value().items.size(), 3u);
   EXPECT_EQ(r.value().items[0].item, 1);
   EXPECT_EQ(r.value().items[1].item, 3);
@@ -415,6 +392,70 @@ TEST_F(ServeTest, OpenBreakerServesPopularityFallback) {
   EXPECT_FLOAT_EQ(r.value().items[0].score, 2.f);
   EXPECT_FLOAT_EQ(r.value().items[1].score, 1.f);
   EXPECT_FLOAT_EQ(r.value().items[2].score, 0.f);
+  // The access log names the rung that explains the degraded answer.
+  obs::JsonValue record;
+  std::string error;
+  ASSERT_TRUE(obs::ParseJson(AccessLog::RecordJson(ctx), &record, &error))
+      << error;
+  EXPECT_TRUE(record.Find("degraded")->boolean);
+  EXPECT_EQ(record.Find("brownout_level")->number, 3.0);
+
+  // A cached user keeps its cache hit, and the hit does not end the trip.
+  const auto cached = service.Recommend({0, 3, 0});
+  ASSERT_TRUE(cached.ok());
+  EXPECT_TRUE(cached.value().cached);
+  EXPECT_FALSE(cached.value().degraded);
+  EXPECT_EQ(service.brownout().level(), BrownoutLevel::kCacheOnly);
+
+  // An exact request is the parity reference: exempt, still scored.
+  RecommendRequest exact{2, 3, 0};
+  exact.exact = true;
+  const auto scored = service.Recommend(exact);
+  ASSERT_TRUE(scored.ok());
+  EXPECT_FALSE(scored.value().degraded);
+  EXPECT_FALSE(scored.value().cached);
+  EXPECT_EQ(scored.value().candidates, 64);
+
+  // Health: degraded, at the cache-only rung, with no separate breaker.
+  HealthReporter health(&store, &service, {});
+  const uint64_t now = obs::NowMicros();
+  EXPECT_EQ(health.StatusString(now), "degraded");
+  obs::JsonValue status;
+  ASSERT_TRUE(obs::ParseJson(health.StatusJson(now), &status, &error))
+      << error;
+  EXPECT_EQ(status.Find("status")->string, "degraded");
+  EXPECT_EQ(status.Find("overload")->Find("brownout")->string, "cache_only");
+  EXPECT_EQ(status.Find("breaker"), nullptr);
+}
+
+TEST_F(ServeTest, CacheHitAfterReleaseLeavesTheProbeToScoring) {
+  const std::string dir = TempDirFor("serve_deadline_probe");
+  SaveSmall(dir, 1, /*num_items=*/64);
+  SnapshotStore store(dir);
+  ASSERT_TRUE(store.Reload().ok());
+  const uint64_t hold_us = 20'000;
+  RecommendService service(&store, TripOptions(hold_us));
+
+  ASSERT_TRUE(service.Recommend({0, 3, 0}).ok());  // user 0 is cached
+  const obs::MetricsSnapshot before =
+      obs::MetricsRegistry::Global().Snapshot();
+  ExpireStreak(&service, BrownoutController::kTripStreak);
+  EXPECT_EQ(service.brownout().level(), BrownoutLevel::kCacheOnly);
+
+  // Past the hold, the next request releases the trip. A cache hit ran no
+  // scoring, so it says nothing about the scoring path: the streak stands.
+  std::this_thread::sleep_for(std::chrono::microseconds(hold_us + 10'000));
+  const auto cached = service.Recommend({0, 3, 0});
+  ASSERT_TRUE(cached.ok());
+  EXPECT_TRUE(cached.value().cached);
+  EXPECT_EQ(cached.value().brownout, BrownoutLevel::kNone);
+  EXPECT_EQ(service.brownout().level(), BrownoutLevel::kNone);
+
+  // The first scored request is the probe: one expiry trips again.
+  ExpireStreak(&service, 1);
+  EXPECT_EQ(service.brownout().level(), BrownoutLevel::kCacheOnly);
+  const obs::MetricsSnapshot after = obs::MetricsRegistry::Global().Snapshot();
+  EXPECT_EQ(after.CounterDelta(before, "serve.overload.deadline_trips"), 2u);
 }
 
 // The service must rank bit-identically to the offline evaluation path:

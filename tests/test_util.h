@@ -1,6 +1,7 @@
 // Shared helpers for the unit tests: random matrices, numerical gradient
-// checking against the autograd engine, tiny fixture datasets, and an
-// embedding pair in every scoring encoding with a scalar ranking oracle.
+// checking against the autograd engine, tiny fixture datasets, an
+// embedding pair in every scoring encoding with a scalar ranking oracle,
+// and the small serving snapshot the serving suites publish.
 
 #ifndef LAYERGCN_TESTS_TEST_UTIL_H_
 #define LAYERGCN_TESTS_TEST_UTIL_H_
@@ -8,7 +9,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <filesystem>
 #include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -18,9 +21,12 @@
 #include "data/split.h"
 #include "eval/fused_rank.h"
 #include "gtest/gtest.h"
+#include "serve/snapshot.h"
 #include "tensor/matrix.h"
 #include "tensor/quant.h"
+#include "train/checkpoint.h"
 #include "util/rng.h"
+#include "util/status.h"
 
 namespace layergcn::testing {
 
@@ -262,6 +268,41 @@ inline data::Dataset TinyDataset() {
   for (const auto& p : tail) all.push_back({p[0], p[1], ts++});
   return data::ChronologicalSplitDataset("tiny", 6, 5, std::move(all), 0.6,
                                          0.2);
+}
+
+/// A fresh, empty directory under the test temp root.
+inline std::string TempDirFor(const char* name) {
+  const std::string dir = std::string(::testing::TempDir()) + "/" + name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+/// A small serving export (3 users) with known popularity structure:
+///   counts: item0=3, item1=2, item2=1, item3=1, every other item 0
+///   popular_items (count desc, id asc): [0, 1, 2, ..., num_items - 1]
+/// Extra items beyond the default 6 only widen the catalog (and the rank
+/// traversal's item runs); the first draws are the same either way.
+inline train::ServingExport SmallExport(int64_t version,
+                                        int64_t num_items = 6) {
+  train::ServingExport ex;
+  ex.version = version;
+  ex.user_emb = tensor::Matrix(3, 4);
+  ex.item_emb = tensor::Matrix(num_items, 4);
+  util::Rng rng(7 + static_cast<uint64_t>(version));
+  ex.user_emb.UniformInit(&rng, -1.f, 1.f);
+  ex.item_emb.UniformInit(&rng, -1.f, 1.f);
+  ex.user_history = {{0, 1}, {0, 2}, {0, 1, 3}};
+  return ex;
+}
+
+/// Publishes SmallExport(version, num_items) as `dir`'s snapshot `version`.
+inline void SaveSmall(const std::string& dir, int64_t version,
+                      int64_t num_items = 6) {
+  const util::Status s = train::SaveServingExport(
+      serve::SnapshotStore::SnapshotPath(dir, version),
+      SmallExport(version, num_items));
+  ASSERT_TRUE(s.ok()) << s.ToString();
 }
 
 }  // namespace layergcn::testing
