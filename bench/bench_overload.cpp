@@ -323,7 +323,8 @@ OverloadPass RunOverloadPass(serve::SnapshotStore* store,
                             : 0.0;
   out.p50_us = Percentile(&good, 0.50);
   out.p99_us = Percentile(&good, 0.99);
-  const serve::OverloadState state = service.overload_state();
+  const serve::OverloadState state =
+      service.overload_state(obs::NowMicros());
   out.final_limit = state.limit;
   out.brownout_transitions = state.brownout_transitions;
   return out;

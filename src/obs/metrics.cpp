@@ -244,13 +244,6 @@ std::string MetricsRegistry::PrometheusText() const {
   return out;
 }
 
-bool MetricsRegistry::WritePrometheusText(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out.good()) return false;
-  out << PrometheusText();
-  return out.good();
-}
-
 void MetricsRegistry::ResetAll() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, counter] : counters_) counter->Reset();

@@ -180,8 +180,6 @@ class MetricsRegistry {
   /// `layergcn_`-prefixed family per metric; '.' in names becomes '_';
   /// histograms export cumulative `_bucket{le=...}` series + _sum/_count).
   std::string PrometheusText() const;
-  /// Writes PrometheusText() to `path`; false on I/O failure.
-  bool WritePrometheusText(const std::string& path) const;
 
   /// Zeroes every registered metric (names stay registered).
   void ResetAll();

@@ -5,7 +5,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -39,8 +39,8 @@ util::Status SnapshotPublisher::PublishOnce(const std::string& staging,
     // readers on the previous snapshot until a retry renames over it.
     std::string image;
     LAYERGCN_RETURN_IF_ERROR(util::ReadFileImage(staging, &image));
-    std::ofstream torn(final_path, std::ios::binary | std::ios::trunc);
-    torn.write(image.data(), static_cast<std::streamsize>(image.size() * 3 / 5));
+    (void)util::SyncedWrite(
+        final_path, std::string_view(image).substr(0, image.size() * 3 / 5));
     std::remove(staging.c_str());
     return util::DataLossError("simulated torn rename onto " + final_path);
   }

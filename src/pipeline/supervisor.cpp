@@ -3,7 +3,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string_view>
 #include <utility>
@@ -12,6 +11,7 @@
 #include "obs/obs.h"
 #include "obs/trace.h"
 #include "util/crc32.h"
+#include "util/file_image.h"
 #include "util/logging.h"
 #include "util/strings.h"
 
@@ -20,14 +20,32 @@ namespace {
 
 constexpr char kManifestMagic[] = "LGCN-PIPE v1";
 
+// Removes every run-NNNNNN directory under `checkpoint_root` but `keep`'s.
+// Only the manifest's run is read again (the next carry source). A
+// directory above it can only be left from before a manifest loss, and
+// would otherwise hold stale checkpoints where a later run of that id
+// writes. Removal failures are non-fatal: the next completed run retries.
+void PruneRunDirs(const std::string& checkpoint_root, int64_t keep) {
+  OBS_SPAN("pipeline.run_prune");
+  for (const auto& [run_id, dir] :
+       util::ListNumberedFiles(checkpoint_root, "run-", "")) {
+    if (run_id == keep) continue;
+    std::error_code ec;
+    std::filesystem::remove_all(dir, ec);
+    if (ec) {
+      LAYERGCN_LOG(kWarning) << "cannot remove " << dir << ": "
+                             << ec.message();
+    }
+  }
+}
+
 }  // namespace
 
 util::StatusOr<PipelineManifest> PipelineManifest::Load(
     const std::string& path) {
-  std::ifstream in(path);
-  if (!in.good()) {
-    return util::NotFoundError("no manifest at " + path);
-  }
+  std::string image;
+  LAYERGCN_RETURN_IF_ERROR(util::ReadFileImage(path, &image));
+  std::istringstream in(image);
   std::string body, line;
   PipelineManifest m;
   uint32_t stored_crc = 0;
@@ -78,22 +96,7 @@ util::Status PipelineManifest::Save(const std::string& path) const {
   char crc_line[32];
   std::snprintf(crc_line, sizeof(crc_line), "crc=%08x\n",
                 util::Crc32(s.data(), s.size()));
-
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    out << s << crc_line;
-    out.flush();
-    if (!out.good()) {
-      std::remove(tmp.c_str());
-      return util::UnavailableError("cannot write manifest " + tmp);
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return util::UnavailableError("cannot rename manifest into " + path);
-  }
-  return util::OkStatus();
+  return util::WriteFileImage(path, s + crc_line);
 }
 
 PipelineSupervisor::PipelineSupervisor(SupervisorOptions options,
@@ -126,6 +129,14 @@ util::Status PipelineSupervisor::Start() {
                            << loaded.status().ToString();
     OBS_COUNT("pipeline.manifest_fallbacks", 1);
     manifest_ = PipelineManifest{};
+  }
+  // The snapshot directory is the second record of the published version:
+  // after a lost or stale manifest, numbering continues above the newest
+  // snapshot instead of renaming a new model over a published one.
+  const auto snapshots = serve::SnapshotStore::ListSnapshots(store_->dir());
+  if (!snapshots.empty() && snapshots.back().first > manifest_.version) {
+    LAYERGCN_LOG(kWarning) << "manifest behind " << snapshots.back().second;
+    manifest_.version = snapshots.back().first;
   }
 
   WalOptions wal_options;
@@ -298,6 +309,7 @@ util::Status PipelineSupervisor::TrainAndMaybePublish() {
   manifest_.num_items = dataset.num_items;
   manifest_.trained_events = ingestor_.accepted();
   LAYERGCN_RETURN_IF_ERROR(manifest_.Save(manifest_path_));
+  PruneRunDirs(warm.checkpoint_root, manifest_.run_id);
   ++counters_.runs_completed;
   OBS_COUNT("pipeline.supervisor.cycles", 1);
 

@@ -10,7 +10,13 @@
 // any instruction — reconstructs the identical state: WAL recovery
 // truncates torn tails, the full committed sequence re-feeds the
 // DeltaIngestor, and a corrupt/missing manifest degrades to a cold start
-// rather than an abort.
+// rather than an abort. The manifest is written with util::WriteFileImage
+// (fsynced, renamed), so a crash leaves the old manifest or the new one.
+// Start() also reads the snapshot directory, the second record of the
+// published version: versions continue above the newest snapshot there,
+// so a cold start never renames a new model over a published one. Each
+// completed run removes every checkpoint run directory but its own, the
+// only one the next run reads.
 //
 // Failure policy per stage (train / publish): a failing stage is retried
 // on the next cycle; max_stage_failures *consecutive* failures exhaust

@@ -6,12 +6,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <string_view>
 #include <utility>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <unistd.h>
-#endif
 
 #include "obs/metrics.h"
 #include "util/crc32.h"
@@ -128,40 +124,6 @@ ParsedSegment ParseSegment(const std::string& image) {
   return p;
 }
 
-util::Status SyncedWrite(const std::string& path, const char* data,
-                         size_t len, bool append) {
-#if defined(__unix__) || defined(__APPLE__)
-  const int flags = O_WRONLY | O_CREAT | (append ? O_APPEND : O_TRUNC);
-  const int fd = ::open(path.c_str(), flags, 0644);
-  if (fd < 0) {
-    return util::UnavailableError("cannot open WAL segment " + path);
-  }
-  size_t done = 0;
-  while (done < len) {
-    const ssize_t n = ::write(fd, data + done, len - done);
-    if (n <= 0) {
-      ::close(fd);
-      return util::UnavailableError("write failure on " + path);
-    }
-    done += static_cast<size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    return util::UnavailableError("fsync failure on " + path);
-  }
-  ::close(fd);
-#else
-  std::ofstream out(path, std::ios::binary |
-                              (append ? std::ios::app : std::ios::trunc));
-  out.write(data, static_cast<std::streamsize>(len));
-  out.flush();
-  if (!out.good()) {
-    return util::UnavailableError("write failure on " + path);
-  }
-#endif
-  return util::OkStatus();
-}
-
 util::Status TruncateFile(const std::string& path, size_t len) {
   std::error_code ec;
   std::filesystem::resize_file(path, len, ec);
@@ -183,18 +145,7 @@ std::string InteractionWal::SegmentPath(const std::string& dir,
 
 std::vector<std::pair<int64_t, std::string>> InteractionWal::ListSegments(
     const std::string& dir) {
-  std::vector<std::pair<int64_t, std::string>> out;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    int64_t index = -1;
-    if (std::sscanf(name.c_str(), "wal-%06" PRId64 ".log", &index) == 1 &&
-        index >= 0 && name.size() == std::strlen("wal-000000.log")) {
-      out.emplace_back(index, entry.path().string());
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+  return util::ListNumberedFiles(dir, "wal-", ".log");
 }
 
 util::StatusOr<std::unique_ptr<InteractionWal>> InteractionWal::Open(
@@ -224,11 +175,10 @@ util::StatusOr<std::unique_ptr<InteractionWal>> InteractionWal::Open(
       // a later reader never re-walks the damage.
       ++wal->recovery_.torn_tails;
       if (!p.header_ok) {
-        // Even the header is gone; reinitialize the segment in place.
+        // Even the header is gone; replace the segment with a bare header.
         const std::string header = SegmentHeader(
             wal->committed_records_ + static_cast<int64_t>(p.records.size()));
-        LAYERGCN_RETURN_IF_ERROR(
-            SyncedWrite(path, header.data(), header.size(), /*append=*/false));
+        LAYERGCN_RETURN_IF_ERROR(util::WriteFileImage(path, header));
         p.committed_bytes = header.size();
       } else {
         LAYERGCN_RETURN_IF_ERROR(TruncateFile(path, p.committed_bytes));
@@ -263,14 +213,8 @@ InteractionWal::~InteractionWal() = default;
 
 util::Status InteractionWal::StartSegment(int64_t index, int64_t base_seq) {
   const std::string path = SegmentPath(options_.dir, index);
-  const std::string tmp = path + ".tmp";
   const std::string header = SegmentHeader(base_seq);
-  LAYERGCN_RETURN_IF_ERROR(
-      SyncedWrite(tmp, header.data(), header.size(), /*append=*/false));
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return util::UnavailableError("cannot rename " + tmp + " to " + path);
-  }
+  LAYERGCN_RETURN_IF_ERROR(util::WriteFileImage(path, header));
   active_index_ = index;
   active_path_ = path;
   active_bytes_ = static_cast<int64_t>(header.size());
@@ -320,13 +264,15 @@ util::Status InteractionWal::Commit() {
     // the owner must go through recovery like a restarted process would.
     const size_t torn =
         std::min(batch.size() * 2 / 5 + 7, batch.size() - 1);
-    (void)SyncedWrite(active_path_, batch.data(), torn, /*append=*/true);
+    (void)util::SyncedWrite(active_path_,
+                            std::string_view(batch).substr(0, torn),
+                            /*append=*/true);
     poisoned_ = true;
     return util::DataLossError("simulated torn WAL write on " + active_path_);
   }
 
   const util::Status st =
-      SyncedWrite(active_path_, batch.data(), batch.size(), /*append=*/true);
+      util::SyncedWrite(active_path_, batch, /*append=*/true);
   if (!st.ok()) {
     // The batch may be partially on disk; only recovery can tell.
     poisoned_ = true;

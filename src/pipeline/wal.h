@@ -13,8 +13,9 @@
 //   per record: uint32 payload_len | payload | uint32 CRC-32(payload)
 //
 // where the payload of an interaction record is
-// int32 user | int32 item | int64 timestamp (little-endian). New segments
-// are created atomically (header written to `.tmp`, fsynced, renamed) so a
+// int32 user | int32 item | int64 timestamp (little-endian). New segments,
+// and a segment whose header recovery rewrites, are created atomically
+// (util::WriteFileImage: header written to `.tmp`, fsynced, renamed) so a
 // crash during rotation never leaves a half-headered segment under a live
 // name.
 //

@@ -40,25 +40,13 @@ util::Status CarryState(train::Recommender* model,
                         const data::Dataset& dataset,
                         const train::TrainConfig& config,
                         const WarmStartOptions& options) {
-  const auto checkpoints =
-      train::CheckpointManager::ListCheckpoints(options.prev_checkpoint_dir);
-  if (checkpoints.empty()) {
-    return util::NotFoundError("no checkpoint in " +
-                               options.prev_checkpoint_dir);
-  }
-
   const int64_t prev_nodes = static_cast<int64_t>(options.prev_num_users) +
                              options.prev_num_items;
   train::Parameter prev(kEmbeddingsName, prev_nodes, config.embedding_dim);
   train::TrainingState state;
-  util::Status loaded = util::NotFoundError("no valid checkpoint");
-  for (auto it = checkpoints.rbegin(); it != checkpoints.rend(); ++it) {
-    loaded = train::LoadCheckpointV2(it->second, {&prev}, &state).status();
-    if (loaded.ok()) break;
-    LAYERGCN_LOG(kWarning) << "warm start skipping " << it->second << ": "
-                           << loaded.ToString();
-  }
-  LAYERGCN_RETURN_IF_ERROR(loaded);
+  LAYERGCN_RETURN_IF_ERROR(
+      train::CheckpointManager(options.prev_checkpoint_dir)
+          .RestoreLatest({&prev}, &state));
 
   train::Parameter* dst = nullptr;
   for (train::Parameter* p : model->Params()) {

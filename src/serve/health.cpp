@@ -1,32 +1,15 @@
 #include "serve/health.h"
 
 #include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <utility>
 
 #include "obs/json.h"
 #include "obs/obs.h"
 #include "obs/slo.h"
+#include "util/file_image.h"
 #include "util/logging.h"
 
 namespace layergcn::serve {
-namespace {
-
-// Torn-read-proof file replacement: readers polling the status file see
-// either the previous complete document or the new one, never a prefix.
-bool AtomicWrite(const std::string& path, const std::string& content) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out.good()) return false;
-    out << content;
-    if (!out.good()) return false;
-  }
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
-}
-
-}  // namespace
 
 HealthReporter::HealthReporter(const SnapshotStore* store,
                                const RecommendService* service,
@@ -58,7 +41,7 @@ std::string HealthReporter::StatusString(uint64_t now_us) const {
   // below its configured quality — that is "degraded" even after the burn
   // subsides, until the ladder has stepped all the way back up.
   const bool browned_out =
-      service_->brownout().level() != BrownoutLevel::kNone;
+      service_->brownout().LevelAt(now_us) != BrownoutLevel::kNone;
   if (slo_breach || browned_out || SnapshotStale(now_us)) {
     return "degraded";
   }
@@ -129,7 +112,7 @@ std::string HealthReporter::StatusJson(uint64_t now_us) {
   w.Key("queue_depth").Int(service_->in_flight());
   w.Key("queue_capacity").Int(service_->options().queue_capacity);
   {
-    const OverloadState overload = service_->overload_state();
+    const OverloadState overload = service_->overload_state(now_us);
     w.Key("overload").BeginObject();
     w.Key("adaptive").Bool(overload.adaptive);
     w.Key("limit").Int(overload.limit);
@@ -184,14 +167,16 @@ std::string HealthReporter::StatusJson(uint64_t now_us) {
 }
 
 bool HealthReporter::WriteNow(uint64_t now_us) {
+  // Both files are replaced atomically: a reader polling either one sees
+  // the previous complete document or the new one, never a prefix.
   bool ok = true;
   if (!options_.status_path.empty()) {
-    ok = AtomicWrite(options_.status_path, StatusJson(now_us) + "\n") && ok;
+    const std::string doc = StatusJson(now_us) + "\n";
+    ok = util::WriteFileImage(options_.status_path, doc).ok();
   }
   if (!options_.prom_path.empty()) {
-    ok = obs::MetricsRegistry::Global().WritePrometheusText(
-             options_.prom_path) &&
-         ok;
+    const std::string text = obs::MetricsRegistry::Global().PrometheusText();
+    ok = util::WriteFileImage(options_.prom_path, text).ok() && ok;
   }
   if (ok) writes_.fetch_add(1, std::memory_order_relaxed);
   return ok;

@@ -4,9 +4,10 @@
 // the operator's questions at a glance — is the service ready (a snapshot
 // is loaded), how stale is it, which brownout rung is it serving at, is
 // the SLO burning, what are the current shed/degraded/cache-hit rates, how
-// deep is the admission queue — and writes it atomically (tmp + rename) so
-// a reader never sees a torn file. Optionally it also writes the whole
-// MetricsRegistry as Prometheus text exposition next to it.
+// deep is the admission queue — and writes it atomically
+// (util::WriteFileImage: tmp, fsync, rename) so a reader never sees a torn
+// file. Optionally it also writes the whole MetricsRegistry as Prometheus
+// text exposition next to it, replaced the same way.
 //
 // Readiness ladder:
 //   "unready"   no snapshot published — the service cannot answer

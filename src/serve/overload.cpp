@@ -181,6 +181,14 @@ BrownoutLevel BrownoutController::OnSloState(obs::SloMonitor::State state,
   return level();
 }
 
+BrownoutLevel BrownoutController::LevelAt(uint64_t now_us) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (tripped_ && now_us < tripped_at_us_ + options_.step_down_hold_us) {
+    return BrownoutLevel::kCacheOnly;
+  }
+  return static_cast<BrownoutLevel>(ladder_);
+}
+
 BrownoutLevel BrownoutController::Resolve(uint64_t now_us) {
   std::lock_guard<std::mutex> lock(mu_);
   ReleaseLocked(now_us);

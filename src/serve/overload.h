@@ -190,6 +190,10 @@ class BrownoutController {
     return static_cast<BrownoutLevel>(
         level_.load(std::memory_order_relaxed));
   }
+  /// The rung in force at `now_us`, for observers: like level(), except
+  /// that a trip counts only until tripped_at + step_down_hold_us, even
+  /// when no request has arrived since to release it. Changes no state.
+  BrownoutLevel LevelAt(uint64_t now_us) const;
   /// Level changes in either direction since construction, trips and
   /// releases included.
   int64_t transitions() const {
@@ -207,7 +211,7 @@ class BrownoutController {
   const Options options_;
   std::atomic<int> level_{0};
   std::atomic<int64_t> transitions_{0};
-  std::mutex mu_;
+  mutable std::mutex mu_;
   int ladder_ = 0;             // the SLO ladder's own rung
   uint64_t last_step_us_ = 0;  // last ladder step, either direction
   uint64_t ok_since_us_ = 0;

@@ -90,7 +90,7 @@ util::Status RecommendService::Validate(const ModelSnapshot& snap,
 
 bool RecommendService::CacheLookup(const ModelSnapshot& snap,
                                    eval::ScoreEncoding encoding,
-                                   RetrievalMode retrieval,
+                                   RetrievalMode retrieval, bool any_mode,
                                    const RecommendRequest& req,
                                    RecommendResponse* resp) {
   std::lock_guard<std::mutex> lock(cache_mu_);
@@ -100,8 +100,12 @@ bool RecommendService::CacheLookup(const ModelSnapshot& snap,
   // or the other retrieval path never serves. In particular an
   // approximate (ivf) top-K is never handed out as an exact prefix. A
   // cached top-k' answers any k <= k' within its mode — serve the prefix.
+  // With `any_mode` (the cache-only rung, where the alternative is the
+  // popularity ranking) any complete entry of this snapshot serves, and
+  // the response names the entry's own mode.
   if (it == cache_.end() || it->second.snapshot_version != snap.version() ||
-      it->second.encoding != encoding || it->second.retrieval != retrieval ||
+      (!any_mode && (it->second.encoding != encoding ||
+                     it->second.retrieval != retrieval)) ||
       it->second.k < req.k) {
     OBS_COUNT("serve.score_cache_misses", 1);
     return false;
@@ -113,8 +117,8 @@ bool RecommendService::CacheLookup(const ModelSnapshot& snap,
   resp->items.assign(entry.items.begin(),
                      entry.items.begin() + static_cast<ptrdiff_t>(n));
   resp->cached = true;
-  resp->encoding = encoding;
-  resp->retrieval = retrieval;
+  resp->encoding = entry.encoding;
+  resp->retrieval = entry.retrieval;
   resp->snapshot_version = snap.version();
   OBS_COUNT("serve.score_cache_hits", 1);
   return true;
@@ -269,6 +273,8 @@ util::StatusOr<RecommendResponse> RecommendService::Recommend(
           : brownout_.Resolve(start_us);
   ctx->brownout = brownout;
   const bool brownout_applies = !req.exact;
+  const bool cache_only =
+      brownout_applies && brownout >= BrownoutLevel::kCacheOnly;
 
   // Resolve the encoding this request actually scores with: a requested
   // quantized copy the snapshot does not carry degrades to the f32
@@ -305,14 +311,14 @@ util::StatusOr<RecommendResponse> RecommendService::Recommend(
   bool served = false;
   if (options_.score_cache_capacity > 0) {
     const uint64_t cache_t0 = obs::NowMicros();
-    served = CacheLookup(*snap, encoding, retrieval, req, &resp);
+    served = CacheLookup(*snap, encoding, retrieval, cache_only, req, &resp);
     ctx->stage(Stage::kCache) = obs::NowMicros() - cache_t0;
   }
 
-  // Deepest rung: no kernel at all. A cache miss serves the popularity
-  // ranking — still an answer, at the cost of personalization, never of
-  // availability.
-  if (!served && brownout_applies && brownout >= BrownoutLevel::kCacheOnly) {
+  // Deepest rung: no kernel at all. A complete cached answer of any mode
+  // serves above; a miss serves the popularity ranking — still an answer,
+  // at the cost of personalization, never of availability.
+  if (!served && cache_only) {
     OBS_COUNT("serve.overload.cache_only_served", 1);
     const uint64_t score_t0 = obs::NowMicros();
     resp = ServeDegraded(*snap, req);
@@ -662,10 +668,10 @@ int64_t RecommendService::in_flight() const {
   return queued_ + executing_;
 }
 
-OverloadState RecommendService::overload_state() const {
+OverloadState RecommendService::overload_state(uint64_t now_us) const {
   OverloadState state;
   state.adaptive = options_.overload.adaptive;
-  state.brownout = brownout_.level();
+  state.brownout = brownout_.LevelAt(now_us);
   state.brownout_transitions = brownout_.transitions();
   state.smoothed_latency_us =
       ewma_latency_us_.load(std::memory_order_relaxed);

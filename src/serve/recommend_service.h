@@ -45,10 +45,12 @@
 //                quantized -> cache/popularity-only and back up with
 //                hysteresis. Always, a streak of deadline expiries among
 //                scored requests trips it straight to cache-only for a
-//                hold. At that rung a cache miss skips model scoring and
-//                serves the snapshot's popularity ranking flagged
-//                `degraded` (serve.degraded) — the service answers
-//                something sensible even when scoring is unhealthy
+//                hold. At that rung no model scoring runs: a complete
+//                cached answer for the user serves whatever its encoding
+//                and retrieval mode, and a cache miss serves the
+//                snapshot's popularity ranking flagged `degraded`
+//                (serve.degraded) — the service answers something
+//                sensible even when scoring is unhealthy
 //
 // Scoring encoding: options.encoding selects which embedding copy the
 // request scores against — f32 (the bit-exact reference, default), int8,
@@ -77,9 +79,12 @@
 // snapshot version AND encoding AND retrieval mode match the current ones
 // and it was computed for a k >= the request's k (a top-K prefix of a
 // larger top-K is exact within its mode; an ivf prefix is never an exact
-// answer, hence the mode key). Version keying makes hot-swap invalidation
-// automatic: entries from a replaced snapshot can never be served again.
-// Partial and degraded responses are never cached.
+// answer, hence the mode key). The cache-only rung drops the mode key:
+// there the alternative is the popularity ranking, so any complete entry
+// of the current snapshot serves, reported under its own encoding and
+// retrieval mode. Version keying makes hot-swap invalidation automatic:
+// entries from a replaced snapshot can never be served again. Partial and
+// degraded responses are never cached.
 //
 // Every request increments serve.requests, lands in the serve.latency_us
 // histogram, and runs under an OBS_SPAN("serve.request") trace span.
@@ -249,9 +254,9 @@ class RecommendService {
   /// limiter value when adaptive, else the static cap.
   int64_t concurrency_limit() const;
 
-  /// Point-in-time overload snapshot (limit, per-class queue depths,
-  /// brownout rung) for HealthReporter and tests.
-  OverloadState overload_state() const;
+  /// Point-in-time overload snapshot (limit, per-class queue depths, the
+  /// brownout rung in force at `now_us`) for HealthReporter and tests.
+  OverloadState overload_state(uint64_t now_us) const;
 
   const AdaptiveLimiter& limiter() const { return limiter_; }
   const BrownoutController& brownout() const { return brownout_; }
@@ -297,12 +302,13 @@ class RecommendService {
       eval::ScoreEncoding encoding, RetrievalMode retrieval,
       eval::RankDeadline* deadline, std::vector<std::vector<float>>* scores,
       int64_t* candidates_scored);
-  /// Cache lookup for (user, k) against `snap` + `encoding` + `retrieval`;
-  /// fills `resp` and returns true on a hit. Counts
-  /// serve.score_cache_{hits,misses}.
+  /// Cache lookup for (user, k) against `snap` + `encoding` + `retrieval`
+  /// (`any_mode`: against `snap` alone, whatever mode the entry holds);
+  /// fills `resp`, the entry's mode included, and returns true on a hit.
+  /// Counts serve.score_cache_{hits,misses}.
   bool CacheLookup(const ModelSnapshot& snap, eval::ScoreEncoding encoding,
-                   RetrievalMode retrieval, const RecommendRequest& req,
-                   RecommendResponse* resp);
+                   RetrievalMode retrieval, bool any_mode,
+                   const RecommendRequest& req, RecommendResponse* resp);
   /// Inserts a complete (non-partial, non-degraded) response, evicting the
   /// least recently used entry past capacity.
   void CacheInsert(const ModelSnapshot& snap, eval::ScoreEncoding encoding,

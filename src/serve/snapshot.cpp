@@ -2,19 +2,14 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
 
 #include "obs/metrics.h"
 #include "train/checkpoint.h"
+#include "util/file_image.h"
 #include "util/logging.h"
 #include "util/strings.h"
 
 namespace layergcn::serve {
-namespace {
-
-namespace fs = std::filesystem;
-
-}  // namespace
 
 util::StatusOr<std::shared_ptr<const ModelSnapshot>> ModelSnapshot::Load(
     const std::string& path, const ItemIndexOptions* index_options) {
@@ -117,19 +112,7 @@ std::string SnapshotStore::SnapshotPath(const std::string& dir,
 
 std::vector<std::pair<int64_t, std::string>> SnapshotStore::ListSnapshots(
     const std::string& dir) {
-  std::vector<std::pair<int64_t, std::string>> out;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    int64_t version = 0;
-    if (name.size() == 16 && util::StartsWith(name, "snap-") &&
-        name.compare(11, 5, ".lgcn") == 0 &&
-        util::ParseInt64(name.substr(5, 6), &version)) {
-      out.emplace_back(version, entry.path().string());
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+  return util::ListNumberedFiles(dir, "snap-", ".lgcn");
 }
 
 void SnapshotStore::SetIndexOptions(const ItemIndexOptions& options) {

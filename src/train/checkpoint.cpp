@@ -1,16 +1,10 @@
 #include "train/checkpoint.h"
 
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <set>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <unistd.h>
-#endif
+#include <string_view>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -640,47 +634,21 @@ void ApplyMomentTable(const MatrixTable& table, const std::string& name,
   *dst = it->second;
 }
 
-// Atomic image write shared by checkpoints and serving exports: buffer ->
-// temp file -> fsync -> rename, with the torn-write fault applied before
-// the safe path so tests can simulate a crash inside the write window.
+// Atomic image write shared by checkpoints and serving exports
+// (util::WriteFileImage: temp file, fsync, rename), with the torn-write
+// fault applied before the safe path so tests can simulate a crash inside
+// the write window.
 util::Status AtomicWriteImage(const std::string& path,
                               const std::string& image) {
   if (util::fault::Fire("checkpoint.torn_write")) {
     // Simulated crash inside the write window: a prefix of the image lands
     // under the final name (as if the filesystem lost the rename barrier)
     // and the writer believes it succeeded. Readers must detect this.
-    std::ofstream torn(path, std::ios::binary | std::ios::trunc);
-    torn.write(image.data(),
-               static_cast<std::streamsize>(image.size() * 3 / 5));
+    (void)util::SyncedWrite(
+        path, std::string_view(image).substr(0, image.size() * 3 / 5));
     return util::OkStatus();
   }
-
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out.good()) {
-      return util::UnavailableError("cannot write " + tmp);
-    }
-    out.write(image.data(), static_cast<std::streamsize>(image.size()));
-    out.flush();
-    if (!out.good()) {
-      std::remove(tmp.c_str());
-      return util::UnavailableError("write failure on " + tmp);
-    }
-  }
-#if defined(__unix__) || defined(__APPLE__)
-  // Push the data to stable storage before the rename makes it visible.
-  const int fd = ::open(tmp.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
-#endif
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return util::UnavailableError("cannot rename " + tmp + " to " + path);
-  }
-  return util::OkStatus();
+  return util::WriteFileImage(path, image);
 }
 
 }  // namespace
@@ -925,19 +893,7 @@ std::string CheckpointManager::CheckpointPath(const std::string& dir,
 
 std::vector<std::pair<int64_t, std::string>> CheckpointManager::ListCheckpoints(
     const std::string& dir) {
-  std::vector<std::pair<int64_t, std::string>> out;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    int64_t epoch = 0;
-    if (name.size() == 16 && util::StartsWith(name, "ckpt-") &&
-        name.compare(11, 5, ".lgcn") == 0 &&
-        util::ParseInt64(name.substr(5, 6), &epoch)) {
-      out.emplace_back(epoch, entry.path().string());
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+  return util::ListNumberedFiles(dir, "ckpt-", ".lgcn");
 }
 
 util::Status CheckpointManager::Write(const std::vector<Parameter*>& params,

@@ -23,9 +23,10 @@
 //  10 serve int8     per-row-scale int8 user/item embedding copies
 //  11 serve bf16     bf16 user/item embedding copies
 //
-// Writes are atomic: the file is serialized to a buffer, written to
-// `path.tmp`, flushed/synced, and renamed over `path`, so a crash never
-// leaves a half-written file under the final name. CheckpointManager adds
+// Writes are atomic: the file is serialized to a buffer and handed to
+// util::WriteFileImage (written to `path.tmp`, fsynced, renamed over
+// `path`), so a crash never leaves a half-written file under the final
+// name, and a failed write or fsync is UNAVAILABLE. CheckpointManager adds
 // rotating last-K retention and falls back to the newest *valid* file when
 // the latest is torn or corrupt.
 //

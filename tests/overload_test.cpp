@@ -387,7 +387,8 @@ TEST_F(OverloadTest, ServiceSmoothsLatencyForRetryHints) {
     cv.wait(lock, [&] { return release; });
   });
   RecommendService service(&store);
-  EXPECT_EQ(service.overload_state().smoothed_latency_us, 0u);
+  EXPECT_EQ(service.overload_state(obs::NowMicros()).smoothed_latency_us,
+            0u);
 
   auto slow = service.Submit({0, 3, 0});
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -398,12 +399,14 @@ TEST_F(OverloadTest, ServiceSmoothsLatencyForRetryHints) {
   cv.notify_all();
   ASSERT_TRUE(slow.get().ok());
   // The first sample seeds the average whole, not at weight 1/8.
-  const uint64_t seeded = service.overload_state().smoothed_latency_us;
+  const uint64_t seeded =
+      service.overload_state(obs::NowMicros()).smoothed_latency_us;
   EXPECT_GE(seeded, 50'000u);
 
   // A fast sample moves it by 1/8 of the difference.
   ASSERT_TRUE(service.Submit({1, 3, 0}).get().ok());
-  const uint64_t smoothed = service.overload_state().smoothed_latency_us;
+  const uint64_t smoothed =
+      service.overload_state(obs::NowMicros()).smoothed_latency_us;
   EXPECT_LT(smoothed, seeded);
   EXPECT_GE(smoothed, seeded - seeded / 8);
 }
@@ -512,7 +515,7 @@ TEST_F(OverloadTest, SubmitStormRacesAdaptationBrownoutAndHotSwap) {
     EXPECT_GT(ok_count.load(), 0);
 
     // The limiter stayed inside its bounds while racing everything.
-    const OverloadState state = service.overload_state();
+    const OverloadState state = service.overload_state(obs::NowMicros());
     EXPECT_TRUE(state.adaptive);
     EXPECT_GE(state.limit, opt.overload.limiter.min_limit);
     EXPECT_LE(state.limit, opt.overload.limiter.max_limit);

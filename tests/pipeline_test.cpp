@@ -29,6 +29,7 @@
 #include "train/checkpoint.h"
 #include "train/stop_token.h"
 #include "util/fault_injection.h"
+#include "util/file_image.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -880,6 +881,13 @@ TEST_F(PipelineTest, SupervisorTornCommitMatchesUnfaultedDigest) {
   EXPECT_EQ(replay_a.value(), replay_b.value());
 }
 
+// The bytes of the file at `path` (empty when it cannot be read).
+std::string FileBytes(const std::string& path) {
+  std::string image;
+  (void)util::ReadFileImage(path, &image);
+  return image;
+}
+
 TEST_F(PipelineTest, SupervisorColdStartsOnCorruptManifest) {
   const std::string root = TempDirFor("sup_manifest");
   const std::string snapshots = root + "/snapshots";
@@ -890,17 +898,78 @@ TEST_F(PipelineTest, SupervisorColdStartsOnCorruptManifest) {
     ASSERT_TRUE(supervisor.Ingest(Events(0, 150)).ok());
     ASSERT_TRUE(supervisor.RunCycle().ok());
     ASSERT_EQ(supervisor.manifest().run_id, 1);
+    ASSERT_EQ(store.current()->version(), 1);
   }
   {
     std::fstream f(root + "/manifest.txt", std::ios::in | std::ios::out);
     f.seekp(16);
     f.put('x');
   }
+  const std::string v1 = serve::SnapshotStore::SnapshotPath(snapshots, 1);
+  const std::string v1_bytes = FileBytes(v1);
+  ASSERT_FALSE(v1_bytes.empty());
+
   PipelineSupervisor supervisor(SmallSupervisor(root, snapshots), &store);
   ASSERT_TRUE(supervisor.Start().ok());  // degraded, not dead
   EXPECT_EQ(supervisor.manifest().run_id, 0);
   // The WAL is intact, so the merged state survived the manifest loss.
   EXPECT_EQ(supervisor.events_committed(), 150);
+  // The snapshot directory still records version 1: numbering continues
+  // above it rather than renaming a new model over the published one.
+  EXPECT_EQ(supervisor.manifest().version, 1);
+
+  // The cold-started run trains on the replayed events and publishes v2.
+  ASSERT_TRUE(supervisor.RunCycle().ok());
+  EXPECT_EQ(supervisor.counters().publishes, 1);
+  EXPECT_EQ(supervisor.counters().publish_failures, 0);
+  EXPECT_EQ(supervisor.manifest().version, 2);
+  ASSERT_NE(store.current(), nullptr);
+  EXPECT_EQ(store.current()->version(), 2);
+  EXPECT_EQ(FileBytes(v1), v1_bytes);
+}
+
+TEST_F(PipelineTest, SupervisorPrunesDeadRunDirectories) {
+  // Only the manifest's run is read again (the next carry source): each
+  // completed run removes the run directories below it.
+  const std::string root = TempDirFor("sup_prune_runs");
+  const std::string snapshots = root + "/snapshots";
+  const std::string ckpt = root + "/ckpt";
+  serve::SnapshotStore store(snapshots);
+  const auto run_dirs = [&ckpt] {
+    std::vector<std::string> names;
+    for (const auto& [id, dir] : util::ListNumberedFiles(ckpt, "run-", "")) {
+      names.push_back(fs::path(dir).filename().string());
+    }
+    return names;
+  };
+  {
+    PipelineSupervisor supervisor(SmallSupervisor(root, snapshots), &store);
+    ASSERT_TRUE(supervisor.Start().ok());
+    for (int64_t cycle = 0; cycle < 3; ++cycle) {
+      ASSERT_TRUE(supervisor.Ingest(Events(cycle * 150, cycle * 150 + 150))
+                      .ok());
+      ASSERT_TRUE(supervisor.RunCycle().ok());
+    }
+    ASSERT_EQ(supervisor.counters().runs_completed, 3);
+    ASSERT_EQ(supervisor.manifest().run_id, 3);
+  }
+  EXPECT_EQ(run_dirs(), std::vector<std::string>{"run-000003"});
+  EXPECT_FALSE(train::CheckpointManager::ListCheckpoints(ckpt + "/run-000003")
+                   .empty());
+
+  // A restarted supervisor still warm-starts from the surviving run.
+  const obs::MetricsSnapshot before =
+      obs::MetricsRegistry::Global().Snapshot();
+  PipelineSupervisor restarted(SmallSupervisor(root, snapshots), &store);
+  ASSERT_TRUE(restarted.Start().ok());
+  ASSERT_TRUE(restarted.Ingest(Events(450, 600)).ok());
+  ASSERT_TRUE(restarted.RunCycle().ok());
+  const obs::MetricsSnapshot after = obs::MetricsRegistry::Global().Snapshot();
+  EXPECT_EQ(after.CounterDelta(before, "pipeline.train.warm_starts"), 1u);
+  EXPECT_EQ(after.CounterDelta(before, "pipeline.train.warm_start_fallbacks"),
+            0u);
+  EXPECT_EQ(restarted.manifest().run_id, 4);
+  EXPECT_EQ(run_dirs(), std::vector<std::string>{"run-000004"});
 }
 
 TEST_F(PipelineTest, SupervisorHaltsAfterPublishBudgetButKeepsServing) {
@@ -1030,7 +1099,7 @@ TEST_F(PipelineTest, TracedCycleNamesEveryStage) {
        {"pipeline.build_dataset", "pipeline.warm_carry", "checkpoint.write",
         "eval.prepare", "pipeline.export_write", "pipeline.publish_validate",
         "pipeline.store_reload", "pipeline.retention",
-        "pipeline.manifest_save"}) {
+        "pipeline.manifest_save", "pipeline.run_prune"}) {
     EXPECT_EQ(recorded.count(stage), 1u) << stage;
   }
 }

@@ -434,6 +434,44 @@ TEST_F(ServeObsTest, HealthStatusJsonAndAtomicWrite) {
   prom_buf << prom_in.rdbuf();
   EXPECT_NE(prom_buf.str().find("layergcn_"), std::string::npos);
   EXPECT_FALSE(fs::exists(options.status_path + ".tmp"));
+  EXPECT_FALSE(fs::exists(options.prom_path + ".tmp"));
+}
+
+TEST_F(ServeObsTest, HealthReleasesTripAfterHoldWithoutTraffic) {
+  // A trip counts only for its hold. Health reads the rung in force at
+  // its own clock, so once the hold has passed it reports "ok" even though
+  // no request has arrived since to release the controller itself.
+  const std::string dir = TempDirFor("serve_obs_trip_release");
+  SaveSmall(dir, 1, /*num_items=*/64);
+  SnapshotStore store(dir);
+  ASSERT_TRUE(store.Reload().ok());
+  const uint64_t hold_us = 3600ull * 1'000'000ull;
+  RecommendServiceOptions opt;
+  opt.rank.item_tile = 16;
+  opt.overload.brownout.step_down_hold_us = hold_us;
+  RecommendService service(&store, opt);
+  HealthReporter health(&store, &service, {});
+
+  for (int i = 0; i < BrownoutController::kTripStreak; ++i) {
+    util::fault::Arm("serve.slow_score");
+    (void)service.Recommend({1, 3, /*budget_us=*/5'000});
+  }
+  const uint64_t tripped = obs::NowMicros();
+  ASSERT_EQ(service.brownout().level(), BrownoutLevel::kCacheOnly);
+  EXPECT_EQ(service.brownout().LevelAt(tripped), BrownoutLevel::kCacheOnly);
+  EXPECT_EQ(health.StatusString(tripped), "degraded");
+
+  const uint64_t released = tripped + hold_us + 1;
+  EXPECT_EQ(service.brownout().LevelAt(released), BrownoutLevel::kNone);
+  EXPECT_EQ(health.StatusString(released), "ok");
+  obs::JsonValue value;
+  std::string error;
+  ASSERT_TRUE(obs::ParseJson(health.StatusJson(released), &value, &error))
+      << error;
+  EXPECT_EQ(value.Find("status")->string, "ok");
+  EXPECT_EQ(value.Find("overload")->Find("brownout")->string, "none");
+  // Reading changed nothing: the controller releases on the next request.
+  EXPECT_EQ(service.brownout().level(), BrownoutLevel::kCacheOnly);
 }
 
 TEST_F(ServeObsTest, HealthBackgroundWriterStops) {

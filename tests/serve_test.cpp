@@ -353,14 +353,9 @@ void ExpireStreak(RecommendService* service, int count) {
 
 TEST_F(ServeTest, DeadlineTripServesPopularityCacheAndExact) {
   const std::string dir = TempDirFor("serve_deadline_trip");
-  // f32 only: the cache-only rung keys its cache lookup by the quantized
-  // encoding it forces when the snapshot carries one, and user 0's entry
-  // below is cached at f32.
-  train::ServingExport ex = SmallExport(1, /*num_items=*/64);
-  ex.write_int8 = false;
-  ex.write_bf16 = false;
-  ASSERT_TRUE(
-      train::SaveServingExport(SnapshotStore::SnapshotPath(dir, 1), ex).ok());
+  // Every encoding: the cache-only rung forces int8 for what it would
+  // score, yet user 0's entry below, cached at f32/exact, must still serve.
+  SaveSmall(dir, 1, /*num_items=*/64);
   SnapshotStore store(dir);
   ASSERT_TRUE(store.Reload().ok());
   // The ladder stays disabled; the hold outlasts the test.
@@ -400,11 +395,25 @@ TEST_F(ServeTest, DeadlineTripServesPopularityCacheAndExact) {
   EXPECT_TRUE(record.Find("degraded")->boolean);
   EXPECT_EQ(record.Find("brownout_level")->number, 3.0);
 
-  // A cached user keeps its cache hit, and the hit does not end the trip.
-  const auto cached = service.Recommend({0, 3, 0});
+  // A cached user keeps its cache hit, whatever mode it was cached at,
+  // and the hit does not end the trip. The response, context and access
+  // record name the entry's own encoding and retrieval.
+  RequestContext cached_ctx;
+  const auto cached = service.Recommend({0, 3, 0}, &cached_ctx);
   ASSERT_TRUE(cached.ok());
   EXPECT_TRUE(cached.value().cached);
   EXPECT_FALSE(cached.value().degraded);
+  EXPECT_EQ(cached.value().encoding, eval::ScoreEncoding::kF32);
+  EXPECT_EQ(cached.value().retrieval, RetrievalMode::kExact);
+  EXPECT_EQ(cached.value().brownout, BrownoutLevel::kCacheOnly);
+  obs::JsonValue cached_record;
+  ASSERT_TRUE(obs::ParseJson(AccessLog::RecordJson(cached_ctx),
+                             &cached_record, &error))
+      << error;
+  EXPECT_TRUE(cached_record.Find("cached")->boolean);
+  EXPECT_FALSE(cached_record.Find("degraded")->boolean);
+  EXPECT_EQ(cached_record.Find("encoding")->string, "f32");
+  EXPECT_EQ(cached_record.Find("retrieval")->string, "exact");
   EXPECT_EQ(service.brownout().level(), BrownoutLevel::kCacheOnly);
 
   // An exact request is the parity reference: exempt, still scored.

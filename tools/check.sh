@@ -54,10 +54,14 @@
 # every serve probe (serve.failed == 0), land at least one publish, and
 # converge to the clean run's ingest digest. Two more clean runs with the
 # same seed must publish at least 2 byte-identical snap-*.lgcn files (cmp)
-# and reach the same digest. Then it SIGKILLs a long-running pipeline mid-flight,
-# clones the surviving directory, and restarts both replicas: recovery
-# must replay the WAL (recovered > 0, committed = recovered + new) and
-# both replicas must reach bit-identical digests. Finally the
+# and reach the same digest. A copy of one of them with a flipped manifest
+# byte is rerun with the same flags: it must cold-start, publish without a
+# failure above the first run's final version, and leave every kept
+# snapshot of the first run byte-identical. Then it SIGKILLs a
+# long-running pipeline mid-flight, clones the surviving directory, and
+# restarts both replicas: recovery must replay the WAL (recovered > 0,
+# committed = recovered + new) and both replicas must reach bit-identical
+# digests. Finally the
 # release-build bench_pipeline summary must self-compare clean through
 # bench_diff and trip exit 2 on an injected freshness regression.
 #
@@ -415,6 +419,47 @@ run_pipeline_stage() {
     echo "PIPELINE STAGE FAILED: same-seed runs reached different digests"
     exit 1
   fi
+
+  # Manifest-loss drill: the manifest is one of the pipeline's two
+  # durability roots. A copy of a finished run with one manifest byte
+  # flipped must cold-start, number its publishes above the newest
+  # snapshot already in the store, publish without a failure, and leave
+  # every snapshot of the first run that retention kept byte-identical.
+  echo "=== [pipeline] manifest loss: cold start publishes above the store ==="
+  cp -r "${out}/same-seed-a" "${out}/manifest-loss"
+  local manifest="${out}/manifest-loss/manifest.txt" byte
+  byte="$(od -An -tu1 -j16 -N1 "${manifest}" | tr -d ' ')"
+  printf "$(printf '\\%03o' $((byte ^ 1)))" |
+    dd of="${manifest}" bs=1 seek=16 conv=notrunc status=none
+  "${dir}/tools/layergcn_pipeline" --dir="${out}/manifest-loss" \
+    --cycles=8 --events-per-cycle=1000 --dim=32 --seed=3 \
+    --summary-out="${out}/summary-manifest-loss.json" --quiet
+  local loss_failures loss_publishes loss_version first_version
+  loss_failures="$(summary_field "${out}/summary-manifest-loss.json" \
+                   publish_failures)"
+  loss_publishes="$(summary_field "${out}/summary-manifest-loss.json" \
+                    publishes)"
+  loss_version="$(summary_field "${out}/summary-manifest-loss.json" \
+                  final_version)"
+  first_version="$(summary_field "${out}/summary-same-seed-a.json" \
+                   final_version)"
+  if [[ "${loss_failures}" -ne 0 || "${loss_publishes}" -lt 1 ||
+        "${loss_version}" -le "${first_version}" ]]; then
+    echo "PIPELINE STAGE FAILED: after manifest loss: ${loss_publishes}" \
+         "publishes, ${loss_failures} publish failures, final version" \
+         "${loss_version} (first run ended at ${first_version})"
+    exit 1
+  fi
+  for snap in ${snaps_a}; do
+    local kept="${out}/manifest-loss/snapshots/${snap}"
+    if [[ -e "${kept}" ]] &&
+       ! cmp "${out}/same-seed-a/snapshots/${snap}" "${kept}"; then
+      echo "PIPELINE STAGE FAILED: ${snap} changed after manifest loss"
+      exit 1
+    fi
+  done
+  echo "manifest loss: ${loss_publishes} publish(es) above version" \
+       "${first_version}, final version ${loss_version}"
 
   # Fault sweep: same workload with each pipeline fault point armed. The
   # injected crash must be absorbed (exit 0, no serve failure, a publish
