@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cinttypes>
-#include <cstdio>
 #include <filesystem>
+#include <string>
 #include <string_view>
 #include <thread>
 #include <utility>
@@ -17,52 +16,19 @@
 #include "util/logging.h"
 
 namespace layergcn::pipeline {
+namespace {
+
+constexpr int kMaxRetries = 3;
+/// Uniform jitter fraction applied to each backoff.
+constexpr double kBackoffJitter = 0.25;
+/// Jitter stream seed: every publisher draws the same backoff schedule.
+constexpr uint64_t kJitterSeed = 0x9e3779b97f4a7c15ull;
+
+}  // namespace
 
 SnapshotPublisher::SnapshotPublisher(serve::SnapshotStore* store,
                                      PublisherOptions options)
-    : store_(store), options_(std::move(options)), jitter_rng_(options_.seed) {}
-
-util::Status SnapshotPublisher::PublishOnce(const std::string& staging,
-                                            int64_t version) {
-  // The staged file already passed SaveServingExport; prove it parses end
-  // to end (every section CRC) before it can become visible.
-  {
-    OBS_SPAN("pipeline.publish_validate");
-    LAYERGCN_RETURN_IF_ERROR(train::ValidateCheckpoint(staging));
-  }
-
-  const std::string final_path =
-      serve::SnapshotStore::SnapshotPath(store_->dir(), version);
-  if (util::fault::Fire("publish.torn_rename")) {
-    // Simulated crash inside the rotate step: a prefix of the export lands
-    // under the final name. The store's newest-valid fallback must keep
-    // readers on the previous snapshot until a retry renames over it.
-    std::string image;
-    LAYERGCN_RETURN_IF_ERROR(util::ReadFileImage(staging, &image));
-    (void)util::SyncedWrite(
-        final_path, std::string_view(image).substr(0, image.size() * 3 / 5));
-    std::remove(staging.c_str());
-    return util::DataLossError("simulated torn rename onto " + final_path);
-  }
-  if (std::rename(staging.c_str(), final_path.c_str()) != 0) {
-    return util::UnavailableError("cannot rename " + staging + " to " +
-                                  final_path);
-  }
-
-  {
-    OBS_SPAN("pipeline.store_reload");
-    LAYERGCN_RETURN_IF_ERROR(store_->Reload());
-  }
-  const auto current = store_->current();
-  if (current == nullptr || current->version() != version) {
-    // Reload picked an older (or no) snapshot: what we just rotated in did
-    // not survive the store's own validation.
-    return util::DataLossError(
-        "store is not serving the published version " +
-        std::to_string(version));
-  }
-  return util::OkStatus();
-}
+    : store_(store), options_(std::move(options)), jitter_rng_(kJitterSeed) {}
 
 util::Status SnapshotPublisher::Publish(
     const train::EmbeddingView& view,
@@ -80,28 +46,22 @@ util::Status SnapshotPublisher::Publish(
   ex.user_emb = *view.user;
   ex.item_emb = *view.item;
   ex.user_history = user_history;
-  ex.write_int8 = options_.write_int8;
-  ex.write_bf16 = options_.write_bf16;
+  ex.write_int8 = true;
+  ex.write_bf16 = true;
 
-  char staged_name[40];
-  std::snprintf(staged_name, sizeof(staged_name), "pub-%06" PRId64 ".staging",
-                version);
-  const std::string staging = store_->dir() + "/" + staged_name;
-
+  const std::string path =
+      serve::SnapshotStore::SnapshotPath(store_->dir(), version);
   std::error_code ec;
   std::filesystem::create_directories(store_->dir(), ec);
 
   util::Status last = util::OkStatus();
   uint64_t backoff = options_.backoff_base_us;
-  for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
+  for (int attempt = 0; attempt <= kMaxRetries; ++attempt) {
     if (attempt > 0) {
       OBS_COUNT("pipeline.publish.retries", 1);
-      uint64_t delay = backoff;
-      if (options_.backoff_jitter > 0) {
-        const double u = jitter_rng_.NextDouble() * 2.0 - 1.0;
-        delay = static_cast<uint64_t>(
-            static_cast<double>(delay) * (1.0 + options_.backoff_jitter * u));
-      }
+      const double u = jitter_rng_.NextDouble() * 2.0 - 1.0;
+      const auto delay = static_cast<uint64_t>(
+          static_cast<double>(backoff) * (1.0 + kBackoffJitter * u));
       std::this_thread::sleep_for(std::chrono::microseconds(delay));
       backoff = std::min(backoff * 2, options_.backoff_max_us);
     }
@@ -109,24 +69,45 @@ util::Status SnapshotPublisher::Publish(
 
     {
       OBS_SPAN("pipeline.export_write");
-      last = train::SaveServingExport(staging, ex);
+      last = train::SaveServingExport(path, ex);
+    }
+    if (last.ok() && util::fault::Fire("publish.torn_rename")) {
+      // Simulated crash inside the write: a prefix of the export lands
+      // under the final name. The store's newest-valid fallback keeps
+      // readers on the previous snapshot until the retry rewrites it.
+      std::string image;
+      last = util::ReadFileImage(path, &image);
+      if (last.ok()) {
+        (void)util::SyncedWrite(
+            path, std::string_view(image).substr(0, image.size() * 3 / 5));
+        last = util::DataLossError("simulated torn write of " + path);
+      }
     }
     if (last.ok()) {
-      last = PublishOnce(staging, version);
+      OBS_SPAN("pipeline.store_reload");
+      last = store_->Reload();
     }
     if (last.ok()) {
-      last_published_version_ = version;
+      const auto current = store_->current();
+      if (current == nullptr || current->version() != version) {
+        // The store skipped what was just written: it did not survive the
+        // store's own load.
+        last = util::DataLossError(
+            "store is not serving the published version " +
+            std::to_string(version));
+      }
+    }
+    if (last.ok()) {
       OBS_COUNT("pipeline.publish.success", 1);
       OBS_GAUGE("pipeline.publish.last_version", version);
       Prune();
       return util::OkStatus();
     }
     LAYERGCN_LOG(kWarning) << "publish attempt " << (attempt + 1) << "/"
-                           << (options_.max_retries + 1) << " of version "
-                           << version << " failed: " << last.ToString();
+                           << (kMaxRetries + 1) << " of version " << version
+                           << " failed: " << last.ToString();
   }
 
-  std::remove(staging.c_str());
   OBS_COUNT("pipeline.publish.failures", 1);
   return last;
 }

@@ -1,34 +1,35 @@
-// SnapshotPublisher: validate → export → rotate into the SnapshotStore.
+// SnapshotPublisher: export → reload the SnapshotStore → confirm.
 //
 // Publishing is the only pipeline stage that touches the serving path, so
-// it is built never to damage it:
+// it is built never to damage it. Each attempt is three steps:
 //
-//  1. The export is written to a staging file (`pub-NNNNNN.staging`, a
-//     name SnapshotStore ignores) with the checkpoint writer's own
-//     atomic-temp-rename discipline.
-//  2. The staging file is re-validated end to end (header, sections,
-//     CRCs) before anything visible happens.
-//  3. The staging file is renamed to snap-NNNNNN.lgcn — one atomic
-//     directory operation — and the store Reload()s; the publish only
-//     counts once the store confirms it is serving exactly that version.
+//  1. The export is written under its final snap-NNNNNN.lgcn name with
+//     the checkpoint writer's atomic discipline (util::WriteFileImage:
+//     temp file, fsync, rename), so a crash leaves a `.tmp` file the
+//     store ignores or the whole export.
+//  2. The store Reload()s. Its load is the export's only validation:
+//     every section is CRC-checked, and a damaged newest file is skipped
+//     (serve.snapshot_fallbacks) while the previous version keeps
+//     serving.
+//  3. The publish counts only once the store serves exactly that
+//     version; anything else fails the attempt.
 //
-// Every step is retried with bounded exponential backoff + deterministic
-// jitter (pipeline.publish.retries). When the budget is exhausted the
-// publisher reports the error and cleans its staging file — the previous
-// snapshot keeps serving untouched; callers degrade health, never the
-// serving path (pipeline.publish.failures).
+// A failed attempt is retried up to 3 times with exponential backoff and
+// deterministic jitter (pipeline.publish.retries); each retry rewrites
+// the file. When the budget is exhausted the publisher reports the error
+// and the previous snapshot keeps serving untouched; callers degrade
+// health, never the serving path (pipeline.publish.failures).
 //
-// Fault point `publish.torn_rename` simulates a crash inside step 3: a
-// prefix of the export lands under the final snap- name. Recovery is the
-// ordinary retry: the next attempt re-stages and renames over the torn
-// file, while SnapshotStore's newest-valid fallback keeps readers off it
+// Fault point `publish.torn_rename` simulates a crash inside step 1: a
+// prefix of the export lands under the final snap- name and the attempt
+// fails with DATA_LOSS. Recovery is the ordinary retry, which rewrites
+// the file, while the store's newest-valid fallback keeps readers off it
 // in the meantime.
 
 #ifndef LAYERGCN_PIPELINE_PUBLISHER_H_
 #define LAYERGCN_PIPELINE_PUBLISHER_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "serve/snapshot.h"
@@ -39,21 +40,12 @@
 namespace layergcn::pipeline {
 
 struct PublisherOptions {
-  /// Publish attempts per snapshot = 1 + max_retries.
-  int max_retries = 3;
   /// First backoff; doubles per retry, capped at backoff_max_us.
   uint64_t backoff_base_us = 20'000;
   uint64_t backoff_max_us = 2'000'000;
-  /// Uniform jitter fraction applied to each backoff (0 disables).
-  double backoff_jitter = 0.25;
-  /// Jitter stream seed (deterministic backoff schedules in tests).
-  uint64_t seed = 0x9e3779b97f4a7c15ull;
   /// Snapshot files kept in the store directory (the serving version is
   /// never pruned regardless).
   int keep_snapshots = 4;
-  /// Quantized sections written alongside the f32 reference.
-  bool write_int8 = true;
-  bool write_bf16 = true;
 };
 
 class SnapshotPublisher {
@@ -63,24 +55,20 @@ class SnapshotPublisher {
   SnapshotPublisher(serve::SnapshotStore* store, PublisherOptions options);
 
   /// Publishes `version` built from the model's embedding view and the
-  /// per-user histories (sorted exclusion lists, one per user row).
-  /// Blocks through the retry schedule; on OK the store is serving
-  /// exactly `version`. On error the previous snapshot is still serving
-  /// and no staging litter remains.
+  /// per-user histories (sorted exclusion lists, one per user row), with
+  /// int8 and bf16 copies beside the f32 reference. Blocks through the
+  /// retry schedule; on OK the store is serving exactly `version`. On
+  /// error the previous snapshot is still serving.
   util::Status Publish(const train::EmbeddingView& view,
                        const std::vector<std::vector<int32_t>>& user_history,
                        int64_t version);
 
-  int64_t last_published_version() const { return last_published_version_; }
-
  private:
-  util::Status PublishOnce(const std::string& staging, int64_t version);
   void Prune() const;
 
   serve::SnapshotStore* const store_;
   const PublisherOptions options_;
   util::Rng jitter_rng_;
-  int64_t last_published_version_ = 0;
 };
 
 }  // namespace layergcn::pipeline

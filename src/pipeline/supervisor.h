@@ -9,7 +9,8 @@
 // replay of those roots, so Start() after a crash — or after SIGKILL at
 // any instruction — reconstructs the identical state: WAL recovery
 // truncates torn tails, the full committed sequence re-feeds the
-// DeltaIngestor, and a corrupt/missing manifest degrades to a cold start
+// DeltaIngestor (no segment is ever deleted, so the replay is always the
+// whole history), and a corrupt/missing manifest degrades to a cold start
 // rather than an abort. The manifest is written with util::WriteFileImage
 // (fsynced, renamed), so a crash leaves the old manifest or the new one.
 // Start() also reads the snapshot directory, the second record of the
@@ -24,9 +25,7 @@
 // util::Status of the last failure (pipeline.supervisor.halted gauge,
 // pipeline.stage.*_failures counters). Halting stops state mutation only
 // — the already-published snapshot keeps serving, which is the designed
-// degraded mode. A stage that overruns stage_deadline_us counts as a
-// failure (DeadlineExceeded) even when its work succeeded, so a wedged
-// stage surfaces in health before it wedges the whole loop.
+// degraded mode.
 
 #ifndef LAYERGCN_PIPELINE_SUPERVISOR_H_
 #define LAYERGCN_PIPELINE_SUPERVISOR_H_
@@ -66,19 +65,10 @@ struct SupervisorOptions {
   /// Snapshot directory the serving SnapshotStore watches.
   std::string snapshot_dir;
 
-  int64_t wal_segment_bytes = 1 << 20;
   /// Fine-tune once this many new accepted events are waiting.
   int64_t min_train_events = 200;
-  /// Wall-clock bound per stage; 0 disables the check.
-  uint64_t stage_deadline_us = 0;
   /// Consecutive failures per stage before the supervisor halts.
   int max_stage_failures = 3;
-  /// Delete WAL segments fully covered by a successful publish (the
-  /// events are baked into the served snapshot and the manifest records
-  /// the consumed count). Off by default: replay-everything is the
-  /// simplest recovery story; long-running deployments turn this on to
-  /// bound disk growth.
-  bool gc_covered_wal_segments = false;
 
   train::TrainConfig train_config;
   /// Budget/gate knobs; checkpoint_root, run_id and prev_* are managed by
@@ -124,7 +114,6 @@ class PipelineSupervisor {
     int64_t train_failures = 0;
     int64_t publishes = 0;
     int64_t publish_failures = 0;
-    int64_t deadline_overruns = 0;
   };
   const Counters& counters() const { return counters_; }
 

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <string_view>
 #include <utility>
 
@@ -288,38 +287,6 @@ util::Status InteractionWal::Commit() {
     return StartSegment(active_index_ + 1, committed_records_);
   }
   return util::OkStatus();
-}
-
-int64_t InteractionWal::GcCoveredSegments(int64_t covered_seq) {
-  const auto segments = ListSegments(options_.dir);
-  int64_t removed = 0;
-  // A segment is fully covered when its successor's base_seq (== the
-  // global record count when the successor was started) is at or below
-  // the covered position. The last listed segment is the active one and
-  // is never a candidate.
-  for (size_t i = 0; i + 1 < segments.size(); ++i) {
-    if (segments[i].second == active_path_) continue;
-    std::ifstream in(segments[i + 1].second, std::ios::binary);
-    char header[kHeaderBytes];
-    in.read(header, sizeof(header));
-    if (!in.good() || std::memcmp(header, kMagic, sizeof(kMagic)) != 0 ||
-        ReadPod<uint32_t>(header + 4) != kVersion) {
-      // Successor header unreadable: cannot prove coverage, keep the
-      // segment (recovery will repair the successor on the next Open).
-      continue;
-    }
-    const int64_t next_base =
-        static_cast<int64_t>(ReadPod<uint64_t>(header + 8));
-    if (next_base > covered_seq) continue;
-    if (std::remove(segments[i].second.c_str()) == 0) {
-      ++removed;
-      OBS_COUNT("pipeline.wal.segments_gced", 1);
-      LAYERGCN_LOG(kInfo) << "WAL GC removed covered segment "
-                          << segments[i].second << " (records < " << next_base
-                          << " are published)";
-    }
-  }
-  return removed;
 }
 
 util::StatusOr<std::vector<WalRecord>> InteractionWal::ReadAll(

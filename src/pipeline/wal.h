@@ -38,11 +38,10 @@
 //                   like any I/O failure; owners that cannot recover must
 //                   degrade to serving-only, never crash.
 //
-// Bounded growth: once a publish durably covers a whole segment (its
-// events are baked into a served snapshot and the manifest), the segment
-// is dead weight for recovery. GcCoveredSegments() deletes every sealed
-// segment whose records all precede the covered sequence number; the
-// active segment is never deleted.
+// Nothing deletes a segment. A published snapshot does not make old
+// events redundant: every fine-tune rebuilds its dataset (train edges,
+// held-out routing, exclusion lists) from the whole committed sequence,
+// so the log grows with the history it records.
 
 #ifndef LAYERGCN_PIPELINE_WAL_H_
 #define LAYERGCN_PIPELINE_WAL_H_
@@ -129,16 +128,6 @@ class InteractionWal {
   /// / wal.bit_flip fault points damage the in-memory image when armed.
   static util::StatusOr<std::vector<WalRecord>> ReadAll(
       const std::string& dir, WalRecoveryStats* stats = nullptr);
-
-  /// Deletes sealed segments whose every record has sequence number
-  /// < `covered_seq` (i.e. the *next* segment's base_seq is at or below
-  /// the covered position). The active segment always survives, so the
-  /// writer is never pulled out from under itself. Returns the number of
-  /// segments removed (also counted as pipeline.wal.segments_gced).
-  /// Replays after a GC recover only the surviving suffix — callers must
-  /// ensure the covered prefix is durable elsewhere (a published snapshot
-  /// + manifest) before garbage-collecting it.
-  int64_t GcCoveredSegments(int64_t covered_seq);
 
   /// Segment file name for 0-based `index`: dir/wal-NNNNNN.log.
   static std::string SegmentPath(const std::string& dir, int64_t index);

@@ -41,9 +41,10 @@
 //                            nothing written (full disk); the writer is
 //                            poisoned and owners that cannot restore
 //                            durability degrade to serving-only
-//   publish.torn_rename      the publisher's rotate step leaves a torn
-//                            file under the final snap- name (store falls
-//                            back; the bounded retry renames over it)
+//   publish.torn_rename      the publisher's export write leaves a torn
+//                            file under the final snap- name and the
+//                            attempt fails (store falls back; the retry
+//                            rewrites it)
 
 #ifndef LAYERGCN_UTIL_FAULT_INJECTION_H_
 #define LAYERGCN_UTIL_FAULT_INJECTION_H_

@@ -3,8 +3,10 @@
 #ifndef LAYERGCN_UTIL_STRINGS_H_
 #define LAYERGCN_UTIL_STRINGS_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace layergcn::util {
@@ -17,6 +19,16 @@ std::string_view Trim(std::string_view s);
 
 /// Parses an integer; returns false on malformed input or overflow.
 bool ParseInt64(std::string_view s, int64_t* out);
+
+/// Parses an integer into `*out` only when T can hold it; returns false
+/// on malformed input, overflow or a value outside T's range.
+template <typename T>
+bool ParseInt(std::string_view s, T* out) {
+  int64_t v;
+  if (!ParseInt64(s, &v) || !std::in_range<T>(v)) return false;
+  *out = static_cast<T>(v);
+  return true;
+}
 
 /// Parses a double; returns false on malformed input.
 bool ParseDouble(std::string_view s, double* out);

@@ -9,6 +9,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <numeric>
 #include <set>
 #include <string>
 #include <vector>
@@ -275,45 +277,6 @@ TEST_F(PipelineTest, WalDirectoryNamedLikeSegmentIsStructuredError) {
   EXPECT_EQ(opened.status().code(), util::StatusCode::kDataLoss);
 }
 
-TEST_F(PipelineTest, WalGcRemovesOnlyCoveredSealedSegments) {
-  const std::string dir = TempDirFor("wal_gc");
-  WalOptions options{.dir = dir, .segment_bytes = 128};  // ~5 frames/segment
-  auto wal = InteractionWal::Open(options);
-  ASSERT_TRUE(wal.ok());
-  for (const WalRecord& e : Events(0, 40)) {
-    ASSERT_TRUE(wal.value()->Append(e).ok());
-    ASSERT_TRUE(wal.value()->Commit().ok());
-  }
-  const size_t segments_before = InteractionWal::ListSegments(dir).size();
-  ASSERT_GT(segments_before, 3u);
-
-  // Covering seq 10 may only remove segments whose records all precede
-  // it; every record >= 10 must survive the GC.
-  const int64_t removed = wal.value()->GcCoveredSegments(10);
-  EXPECT_GE(removed, 1);
-  EXPECT_EQ(InteractionWal::ListSegments(dir).size(),
-            segments_before - static_cast<size_t>(removed));
-  auto read = InteractionWal::ReadAll(dir);
-  ASSERT_TRUE(read.ok());
-  ASSERT_GE(read.value().size(), 30u);
-  const std::vector<WalRecord> tail(read.value().end() - 30,
-                                    read.value().end());
-  EXPECT_EQ(tail, Events(10, 40));
-
-  // Covering everything still never deletes the active segment, and the
-  // writer keeps appending to it across a reopen.
-  wal.value()->GcCoveredSegments(40);
-  ASSERT_GE(InteractionWal::ListSegments(dir).size(), 1u);
-  auto reopened = InteractionWal::Open(options);
-  ASSERT_TRUE(reopened.ok());
-  ASSERT_TRUE(reopened.value()->Append(EventAt(40)).ok());
-  ASSERT_TRUE(reopened.value()->Commit().ok());
-  read = InteractionWal::ReadAll(dir);
-  ASSERT_TRUE(read.ok());
-  ASSERT_FALSE(read.value().empty());
-  EXPECT_EQ(read.value().back(), EventAt(40));
-}
-
 TEST_F(PipelineTest, WalEnospcFaultFailsCommitCleanlyAndPoisons) {
   const std::string dir = TempDirFor("wal_enospc");
   auto wal = InteractionWal::Open({.dir = dir});
@@ -505,7 +468,6 @@ struct FakeModel {
 
 PublisherOptions FastPublisher() {
   PublisherOptions options;
-  options.max_retries = 3;
   options.backoff_base_us = 100;
   options.backoff_max_us = 1'000;
   return options;
@@ -525,8 +487,7 @@ TEST_F(PipelineTest, PublisherRotatesIntoStoreAndPrunes) {
     ASSERT_NE(store.current(), nullptr);
     EXPECT_EQ(store.current()->version(), v);
   }
-  EXPECT_EQ(publisher.last_published_version(), 4);
-  // Retention pruned old versions; no staging litter remains.
+  // Retention pruned old versions; no temp file remains.
   EXPECT_LE(serve::SnapshotStore::ListSnapshots(dir).size(), 2u);
   for (const auto& entry : fs::directory_iterator(dir)) {
     EXPECT_EQ(entry.path().extension(), ".lgcn") << entry.path();
@@ -552,6 +513,46 @@ TEST_F(PipelineTest, PublisherRetriesThroughTornRename) {
   EXPECT_EQ(after.CounterDelta(before, "pipeline.publish.failures"), 0u);
 }
 
+TEST_F(PipelineTest, StoreLoadRejectsTornExportAndRetryPublishes) {
+  // The store's load is the export's only validation: a torn export under
+  // its final name is skipped by Reload, the previous version keeps
+  // serving, and the retry rewrites the file.
+  const std::string dir = TempDirFor("pub_torn_export");
+  serve::SnapshotStore store(dir);
+  SnapshotPublisher publisher(&store, FastPublisher());
+  // Every user has seen every item, so the history section outweighs the
+  // embeddings and the writer's 3/5 tear lands in a required section: the
+  // store must reject the whole file. (A tear in the optional quantized
+  // tail would only drop those copies.)
+  tensor::Matrix user_emb(4, 2), item_emb(64, 2);
+  util::Rng rng(8);
+  user_emb.UniformInit(&rng, -1.f, 1.f);
+  item_emb.UniformInit(&rng, -1.f, 1.f);
+  std::vector<int32_t> all_items(64);
+  std::iota(all_items.begin(), all_items.end(), 0);
+  const std::vector<std::vector<int32_t>> history(4, all_items);
+  const train::EmbeddingView view{&user_emb, &item_emb};
+  ASSERT_TRUE(publisher.Publish(view, history, 1).ok());
+
+  const obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
+  util::fault::Arm("checkpoint.torn_write");
+  const util::Status st = publisher.Publish(view, history, 2);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  ASSERT_NE(store.current(), nullptr);
+  EXPECT_EQ(store.current()->version(), 2);
+
+  const obs::MetricsSnapshot after = obs::MetricsRegistry::Global().Snapshot();
+  EXPECT_GE(after.CounterDelta(before, "serve.snapshot_fallbacks"), 1u);
+  EXPECT_GE(after.CounterDelta(before, "pipeline.publish.retries"), 1u);
+  EXPECT_EQ(after.CounterDelta(before, "pipeline.publish.failures"), 0u);
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    EXPECT_TRUE(name.rfind("snap-", 0) == 0 &&
+                entry.path().extension() == ".lgcn")
+        << name;
+  }
+}
+
 TEST_F(PipelineTest, PublisherExhaustedRetriesKeepPreviousServing) {
   const std::string dir = TempDirFor("pub_exhausted");
   serve::SnapshotStore store(dir);
@@ -559,8 +560,8 @@ TEST_F(PipelineTest, PublisherExhaustedRetriesKeepPreviousServing) {
   const FakeModel model(7);
   ASSERT_TRUE(publisher.Publish(model.view(), model.history, 1).ok());
 
-  // Every rotate attempt of v2 fails: a directory squats on the final
-  // name, so rename(2) can never succeed.
+  // Every attempt of v2 fails: a directory squats on the final name, so
+  // the export's rename(2) can never succeed.
   const std::string blocked = serve::SnapshotStore::SnapshotPath(dir, 2);
   fs::create_directories(blocked);
 
@@ -568,11 +569,15 @@ TEST_F(PipelineTest, PublisherExhaustedRetriesKeepPreviousServing) {
   const util::Status st = publisher.Publish(model.view(), model.history, 2);
   EXPECT_FALSE(st.ok());
   // The previous snapshot never stopped serving, the budget is observable,
-  // and the staging file was cleaned up.
+  // and no temp file was left behind.
   ASSERT_NE(store.current(), nullptr);
   EXPECT_EQ(store.current()->version(), 1);
-  EXPECT_EQ(publisher.last_published_version(), 1);
-  EXPECT_FALSE(fs::exists(dir + "/pub-000002.staging"));
+  std::set<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    names.insert(entry.path().filename().string());
+  }
+  EXPECT_EQ(names, (std::set<std::string>{"snap-000001.lgcn",
+                                          "snap-000002.lgcn"}));
   const obs::MetricsSnapshot after = obs::MetricsRegistry::Global().Snapshot();
   EXPECT_EQ(after.CounterDelta(before, "pipeline.publish.attempts"), 4u);
   EXPECT_EQ(after.CounterDelta(before, "pipeline.publish.retries"), 3u);
@@ -1008,38 +1013,6 @@ TEST_F(PipelineTest, SupervisorHaltsAfterPublishBudgetButKeepsServing) {
   EXPECT_EQ(store.current()->version(), 1);
 }
 
-TEST_F(PipelineTest, SupervisorGcsCoveredWalSegmentsAfterPublish) {
-  const std::string root = TempDirFor("sup_gc");
-  const std::string snapshots = root + "/snapshots";
-  serve::SnapshotStore store(snapshots);
-  SupervisorOptions options = SmallSupervisor(root, snapshots);
-  options.wal_segment_bytes = 256;  // force many segments from 150 events
-  options.gc_covered_wal_segments = true;
-  PipelineSupervisor supervisor(options, &store);
-  ASSERT_TRUE(supervisor.Start().ok());
-  // Rotation happens per commit, so batch the ingest to seal segments.
-  for (int64_t b = 0; b < 150; b += 10) {
-    ASSERT_TRUE(supervisor.Ingest(Events(b, b + 10)).ok());
-  }
-  const size_t segments_before =
-      InteractionWal::ListSegments(root + "/wal").size();
-  ASSERT_GT(segments_before, 3u);
-
-  ASSERT_TRUE(supervisor.RunCycle().ok());
-  ASSERT_EQ(supervisor.counters().publishes, 1);
-  const size_t segments_after =
-      InteractionWal::ListSegments(root + "/wal").size();
-  EXPECT_LT(segments_after, segments_before);
-
-  // A restart replays only the surviving suffix and keeps running — the
-  // GC'd prefix is durable inside the published snapshot + manifest.
-  PipelineSupervisor restarted(options, &store);
-  ASSERT_TRUE(restarted.Start().ok());
-  EXPECT_EQ(restarted.manifest().version, 1);
-  EXPECT_LT(restarted.events_committed(), 150);
-  EXPECT_EQ(restarted.events_pending_train(), 0);
-}
-
 TEST_F(PipelineTest, SupervisorFullDiskDegradesToServingOnly) {
   const std::string root = TempDirFor("sup_enospc");
   const std::string snapshots = root + "/snapshots";
@@ -1090,18 +1063,21 @@ TEST_F(PipelineTest, TracedCycleNamesEveryStage) {
   ASSERT_TRUE(cycle.ok()) << cycle.ToString();
   ASSERT_EQ(supervisor.counters().publishes, 2);
 
-  std::set<std::string> recorded;
+  std::map<std::string, int> recorded;
   for (const obs::TraceEvent& e : obs::TraceRecorder::Global().Snapshot()) {
-    recorded.insert(e.name);
+    ++recorded[e.name];
   }
   obs::TraceRecorder::Global().Clear();
   for (const char* stage :
        {"pipeline.build_dataset", "pipeline.warm_carry", "checkpoint.write",
-        "eval.prepare", "pipeline.export_write", "pipeline.publish_validate",
-        "pipeline.store_reload", "pipeline.retention",
-        "pipeline.manifest_save", "pipeline.run_prune"}) {
+        "eval.prepare", "pipeline.export_write", "pipeline.store_reload",
+        "pipeline.retention", "pipeline.manifest_save",
+        "pipeline.run_prune"}) {
     EXPECT_EQ(recorded.count(stage), 1u) << stage;
   }
+  // One publish, one validating load: the store's reload.
+  EXPECT_EQ(recorded["pipeline.store_reload"], 1);
+  EXPECT_EQ(recorded.count("pipeline.publish_validate"), 0u);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
-// Robustness suite for the serving subsystem: corrupt-snapshot fallback,
-// deadline expiry mid-block, queue-overflow shedding, the deadline trip to
-// the cache-only rung, and bit-identical parity between the
-// RecommendService ranking and the offline fused-kernel ranking.
+// Robustness suite for the serving subsystem: request-line parsing,
+// corrupt-snapshot fallback, deadline expiry mid-block, queue-overflow
+// shedding, the deadline trip to the cache-only rung, and bit-identical
+// parity between the RecommendService ranking and the offline fused-kernel
+// ranking.
 
 #include <atomic>
 #include <chrono>
@@ -24,6 +25,7 @@
 #include "serve/access_log.h"
 #include "serve/health.h"
 #include "serve/recommend_service.h"
+#include "serve/request_line.h"
 #include "serve/snapshot.h"
 #include "tensor/matrix.h"
 #include "test_util.h"
@@ -156,6 +158,58 @@ TEST_F(ServeTest, RequestValidation) {
   const auto ok = service.Recommend({0, 3, 0});
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ(ok.value().items.size(), 3u);
+}
+
+TEST_F(ServeTest, RequestLineParsesFieldsOverDefaults) {
+  RecommendRequest defaults;
+  defaults.k = 7;
+  defaults.budget_us = 900;
+  defaults.priority = Priority::kBackground;
+
+  const ParsedRequest bare = ParseRequestLine(R"({"user":5})", defaults);
+  ASSERT_TRUE(bare.parse_ok) << bare.parse_error;
+  EXPECT_EQ(bare.req.user_id, 5);
+  EXPECT_EQ(bare.req.k, 7);
+  EXPECT_EQ(bare.req.budget_us, 900u);
+  EXPECT_EQ(bare.req.priority, Priority::kBackground);
+  EXPECT_FALSE(bare.req.exact);
+
+  const ParsedRequest full = ParseRequestLine(
+      R"({"user":2147483647,"k":3,"budget_us":1e19,"exact":true,)"
+      R"("priority":"batch"})",
+      defaults);
+  ASSERT_TRUE(full.parse_ok) << full.parse_error;
+  EXPECT_EQ(full.req.user_id, 2147483647);
+  EXPECT_EQ(full.req.k, 3);
+  EXPECT_EQ(full.req.budget_us, 10'000'000'000'000'000'000u);
+  EXPECT_TRUE(full.req.exact);
+  EXPECT_EQ(full.req.priority, Priority::kBatch);
+
+  // An unknown user is the service's verdict, not the parser's.
+  EXPECT_TRUE(ParseRequestLine(R"({"user":-1})", defaults).parse_ok);
+}
+
+TEST_F(ServeTest, RequestLineRejectsNumbersItsFieldsCannotHold) {
+  const RecommendRequest defaults;
+  const struct {
+    const char* line;
+    const char* field;
+  } cases[] = {
+      {R"({"user":0.9,"k":3})", "\"user\""},
+      {R"({"user":0,"k":3.7})", "\"k\""},
+      {R"({"user":0,"k":4294967299})", "\"k\""},
+      {R"({"user":4294967296,"k":3})", "\"user\""},
+      {R"({"user":0,"k":3,"budget_us":1e30})", "\"budget_us\""},
+      {R"({"user":0,"k":3,"budget_us":-1})", "\"budget_us\""},
+      {R"({"user":-2147483649})", "\"user\""},
+      {R"({"user":0,"k":"3"})", "\"k\""},
+  };
+  for (const auto& c : cases) {
+    const ParsedRequest parsed = ParseRequestLine(c.line, defaults);
+    EXPECT_FALSE(parsed.parse_ok) << c.line;
+    EXPECT_NE(parsed.parse_error.find(c.field), std::string::npos)
+        << c.line << ": " << parsed.parse_error;
+  }
 }
 
 TEST_F(ServeTest, NoSnapshotIsFailedPrecondition) {

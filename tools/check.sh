@@ -50,9 +50,10 @@
 # The `pipeline` stage is the chaos drill for the continuous
 # ingest→train→publish→serve loop (DESIGN.md §16). Under ASan/UBSan it
 # runs layergcn_pipeline with each pipeline fault point armed (torn WAL
-# commit, torn snapshot rename, NaN loss) — every run must exit 0, answer
-# every serve probe (serve.failed == 0), land at least one publish, and
-# converge to the clean run's ingest digest. Two more clean runs with the
+# commit, torn snapshot write, NaN loss, and a torn or bit-flipped first
+# snapshot read, which the store's load must catch) — every run must exit
+# 0, answer every serve probe (serve.failed == 0), land at least one
+# publish, and converge to the clean run's ingest digest. Two more clean runs with the
 # same seed must publish at least 2 byte-identical snap-*.lgcn files (cmp)
 # and reach the same digest. A copy of one of them with a flipped manifest
 # byte is rerun with the same flags: it must cold-start, publish without a
@@ -465,12 +466,17 @@ run_pipeline_stage() {
   # injected crash must be absorbed (exit 0, no serve failure, a publish
   # still lands) and the committed event stream must converge to the
   # clean run's digest — recovery is lossless, not merely survivable.
+  # The store's load is a publish's only validation: the two serve.*
+  # read faults damage the bootstrap publish's first snapshot read, the
+  # store skips the file, and the publisher's retry rewrites it.
   local pipeline_faults=(
     "wal.torn_write"
     "wal.torn_write:2"
     "publish.torn_rename"
     "trainer.nan_loss:2"
     "wal.torn_write,publish.torn_rename"
+    "serve.reload_torn_read"
+    "serve.snapshot_bit_flip"
   )
   for fault in "${pipeline_faults[@]}"; do
     local tag="${fault//[^a-z0-9_]/-}"

@@ -129,12 +129,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     auto as_double = [&](double* out) {
       return util::ParseDouble(value, out);
     };
-    auto as_int = [&](auto* out) {
-      int64_t v;
-      if (!util::ParseInt64(value, &v)) return false;
-      *out = static_cast<std::remove_pointer_t<decltype(out)>>(v);
-      return true;
-    };
     bool ok = true;
     if (key == "--help" || key == "-h") {
       PrintUsage(argv[0]);
@@ -148,11 +142,11 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (key == "--scale") {
       ok = as_double(&flags->scale);
     } else if (key == "--seed") {
-      ok = as_int(&flags->seed);
+      ok = util::ParseInt(value, &flags->seed);
     } else if (key == "--dim") {
-      ok = as_int(&flags->dim) && flags->dim >= 1;
+      ok = util::ParseInt(value, &flags->dim) && flags->dim >= 1;
     } else if (key == "--layers") {
-      ok = as_int(&flags->layers) && flags->layers >= 1;
+      ok = util::ParseInt(value, &flags->layers) && flags->layers >= 1;
     } else if (key == "--lr") {
       ok = as_double(&flags->lr);
     } else if (key == "--l2") {
@@ -162,11 +156,11 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (key == "--dropkind") {
       flags->dropkind = value;
     } else if (key == "--batch") {
-      ok = as_int(&flags->batch) && flags->batch >= 1;
+      ok = util::ParseInt(value, &flags->batch) && flags->batch >= 1;
     } else if (key == "--epochs") {
-      ok = as_int(&flags->epochs);
+      ok = util::ParseInt(value, &flags->epochs);
     } else if (key == "--patience") {
-      ok = as_int(&flags->patience);
+      ok = util::ParseInt(value, &flags->patience);
     } else if (key == "--ks") {
       flags->ks = value;
     } else if (key == "--out") {
@@ -182,21 +176,24 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
            value == "bf16";
       flags->snapshot_encoding = value;
     } else if (key == "--topk") {
-      ok = as_int(&flags->topk);
+      ok = util::ParseInt(value, &flags->topk);
     } else if (key == "--verbose") {
       flags->verbose = true;
     } else if (key == "--threads") {
-      ok = as_int(&flags->threads) && flags->threads >= 0;
+      ok = util::ParseInt(value, &flags->threads) && flags->threads >= 0;
     } else if (key == "--checkpoint-dir") {
       flags->checkpoint_dir = value;
     } else if (key == "--checkpoint-every") {
-      ok = as_int(&flags->checkpoint_every) && flags->checkpoint_every >= 1;
+      ok = util::ParseInt(value, &flags->checkpoint_every) &&
+           flags->checkpoint_every >= 1;
     } else if (key == "--keep-checkpoints") {
-      ok = as_int(&flags->keep_checkpoints) && flags->keep_checkpoints >= 1;
+      ok = util::ParseInt(value, &flags->keep_checkpoints) &&
+           flags->keep_checkpoints >= 1;
     } else if (key == "--resume") {
       flags->resume = true;
     } else if (key == "--max-malformed") {
-      ok = as_int(&flags->max_malformed) && flags->max_malformed >= 0;
+      ok = util::ParseInt(value, &flags->max_malformed) &&
+           flags->max_malformed >= 0;
     } else if (key == "--trace-out") {
       flags->trace_out = value;
     } else if (key == "--metrics-out") {

@@ -102,12 +102,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     const std::string key = arg.substr(0, eq);
     const std::string value =
         eq == std::string::npos ? "" : arg.substr(eq + 1);
-    auto as_int = [&](auto* out) {
-      int64_t v;
-      if (!util::ParseInt64(value, &v)) return false;
-      *out = static_cast<std::remove_pointer_t<decltype(out)>>(v);
-      return true;
-    };
     bool ok = true;
     if (key == "--help" || key == "-h") {
       PrintUsage(argv[0]);
@@ -117,25 +111,31 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (key == "--snapshot-dir") {
       flags->snapshot_dir = value;
     } else if (key == "--cycles") {
-      ok = as_int(&flags->cycles) && flags->cycles >= 1;
+      ok = util::ParseInt(value, &flags->cycles) && flags->cycles >= 1;
     } else if (key == "--events-per-cycle") {
-      ok = as_int(&flags->events_per_cycle) && flags->events_per_cycle >= 1;
+      ok = util::ParseInt(value, &flags->events_per_cycle) &&
+           flags->events_per_cycle >= 1;
     } else if (key == "--min-train-events") {
-      ok = as_int(&flags->min_train_events) && flags->min_train_events >= 1;
+      ok = util::ParseInt(value, &flags->min_train_events) &&
+           flags->min_train_events >= 1;
     } else if (key == "--fine-tune-epochs") {
-      ok = as_int(&flags->fine_tune_epochs) && flags->fine_tune_epochs >= 1;
+      ok = util::ParseInt(value, &flags->fine_tune_epochs) &&
+           flags->fine_tune_epochs >= 1;
     } else if (key == "--bootstrap-epochs") {
-      ok = as_int(&flags->bootstrap_epochs) && flags->bootstrap_epochs >= 1;
+      ok = util::ParseInt(value, &flags->bootstrap_epochs) &&
+           flags->bootstrap_epochs >= 1;
     } else if (key == "--dim") {
-      ok = as_int(&flags->dim) && flags->dim >= 1;
+      ok = util::ParseInt(value, &flags->dim) && flags->dim >= 1;
     } else if (key == "--seed") {
-      ok = as_int(&flags->seed);
+      ok = util::ParseInt(value, &flags->seed);
     } else if (key == "--cycle-sleep-ms") {
-      ok = as_int(&flags->cycle_sleep_ms) && flags->cycle_sleep_ms >= 0;
+      ok = util::ParseInt(value, &flags->cycle_sleep_ms) &&
+           flags->cycle_sleep_ms >= 0;
     } else if (key == "--serve-period-us") {
-      ok = as_int(&flags->serve_period_us) && flags->serve_period_us >= 0;
+      ok = util::ParseInt(value, &flags->serve_period_us) &&
+           flags->serve_period_us >= 0;
     } else if (key == "--max-snapshot-age") {
-      ok = as_int(&flags->max_snapshot_age_s) &&
+      ok = util::ParseInt(value, &flags->max_snapshot_age_s) &&
            flags->max_snapshot_age_s >= 0;
     } else if (key == "--summary-out") {
       flags->summary_out = value;
@@ -376,7 +376,6 @@ int main(int argc, char** argv) {
   w.Key("train_failures").Int(c.train_failures);
   w.Key("publishes").Int(c.publishes);
   w.Key("publish_failures").Int(c.publish_failures);
-  w.Key("deadline_overruns").Int(c.deadline_overruns);
   w.Key("final_version").Int(supervisor.manifest().version);
   w.Key("num_users").Int(supervisor.ingestor().num_users());
   w.Key("num_items").Int(supervisor.ingestor().num_items());

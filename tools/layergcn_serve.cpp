@@ -5,7 +5,7 @@
 // One request per line:
 //   {"user": 17, "k": 10, "budget_us": 5000, "priority": "batch"}
 // "k", "budget_us", and "priority" are optional (defaults --topk /
-// --deadline-us / --priority-default).
+// --deadline-us / --priority-default); serve/request_line.h parses it.
 // One response line per request, in request order:
 //   {"user":17,"status":"OK","items":[...],"scores":[...],"partial":false,
 //    "degraded":false,"snapshot_version":3,"latency_us":412}
@@ -42,6 +42,7 @@
 #include "serve/overload.h"
 #include "serve/recommend_service.h"
 #include "serve/request_context.h"
+#include "serve/request_line.h"
 #include "serve/snapshot.h"
 #include "train/stop_token.h"
 #include "util/parallel.h"
@@ -153,12 +154,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     const std::string key = arg.substr(0, eq);
     const std::string value =
         eq == std::string::npos ? "" : arg.substr(eq + 1);
-    auto as_int = [&](auto* out) {
-      int64_t v;
-      if (!util::ParseInt64(value, &v)) return false;
-      *out = static_cast<std::remove_pointer_t<decltype(out)>>(v);
-      return true;
-    };
     bool ok = true;
     if (key == "--help" || key == "-h") {
       PrintUsage(argv[0]);
@@ -168,15 +163,17 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (key == "--requests") {
       flags->requests_path = value;
     } else if (key == "--random-requests") {
-      ok = as_int(&flags->random_requests) && flags->random_requests >= 1;
+      ok = util::ParseInt(value, &flags->random_requests) &&
+           flags->random_requests >= 1;
     } else if (key == "--deadline-us") {
-      ok = as_int(&flags->deadline_us);
+      ok = util::ParseInt(value, &flags->deadline_us);
     } else if (key == "--topk") {
-      ok = as_int(&flags->topk) && flags->topk >= 1;
+      ok = util::ParseInt(value, &flags->topk) && flags->topk >= 1;
     } else if (key == "--max-k") {
-      ok = as_int(&flags->max_k) && flags->max_k >= 1;
+      ok = util::ParseInt(value, &flags->max_k) && flags->max_k >= 1;
     } else if (key == "--queue-capacity") {
-      ok = as_int(&flags->queue_capacity) && flags->queue_capacity >= 1;
+      ok = util::ParseInt(value, &flags->queue_capacity) &&
+           flags->queue_capacity >= 1;
     } else if (key == "--max-inflight") {
       if (value == "auto") {
         flags->max_inflight = value;
@@ -194,7 +191,7 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (key == "--priority-mix") {
       flags->priority_mix = true;
     } else if (key == "--threads") {
-      ok = as_int(&flags->threads) && flags->threads >= 0;
+      ok = util::ParseInt(value, &flags->threads) && flags->threads >= 0;
     } else if (key == "--encoding") {
       eval::ScoreEncoding parsed;
       ok = eval::ParseScoreEncoding(value, &parsed);
@@ -204,19 +201,21 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       ok = serve::ParseRetrievalMode(value, &parsed);
       flags->retrieval = value;
     } else if (key == "--cells") {
-      ok = as_int(&flags->cells) && flags->cells >= 1;
+      ok = util::ParseInt(value, &flags->cells) && flags->cells >= 1;
     } else if (key == "--nprobe") {
-      ok = as_int(&flags->nprobe) && flags->nprobe >= 1;
+      ok = util::ParseInt(value, &flags->nprobe) && flags->nprobe >= 1;
     } else if (key == "--recall-sample") {
-      ok = as_int(&flags->recall_sample) && flags->recall_sample >= 0;
+      ok = util::ParseInt(value, &flags->recall_sample) &&
+           flags->recall_sample >= 0;
     } else if (key == "--score-cache") {
-      ok = as_int(&flags->score_cache) && flags->score_cache >= 0;
+      ok = util::ParseInt(value, &flags->score_cache) &&
+           flags->score_cache >= 0;
     } else if (key == "--burst") {
       flags->burst = true;
     } else if (key == "--quiet") {
       flags->quiet = true;
     } else if (key == "--seed") {
-      ok = as_int(&flags->seed);
+      ok = util::ParseInt(value, &flags->seed);
     } else if (key == "--metrics-out") {
       flags->metrics_out = value;
     } else if (key == "--access-log") {
@@ -228,13 +227,13 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (key == "--prom-out") {
       flags->prom_out = value;
     } else if (key == "--max-snapshot-age") {
-      ok = as_int(&flags->max_snapshot_age_s) &&
+      ok = util::ParseInt(value, &flags->max_snapshot_age_s) &&
            flags->max_snapshot_age_s >= 0;
     } else if (key == "--slo-availability") {
       ok = util::ParseDouble(value, &flags->slo_availability) &&
            flags->slo_availability > 0.0 && flags->slo_availability < 1.0;
     } else if (key == "--slo-latency-target-us") {
-      ok = as_int(&flags->slo_latency_target_us) &&
+      ok = util::ParseInt(value, &flags->slo_latency_target_us) &&
            flags->slo_latency_target_us >= 1;
     } else if (key == "--slo-latency-objective") {
       ok = util::ParseDouble(value, &flags->slo_latency_objective) &&
@@ -260,75 +259,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     return false;
   }
   return true;
-}
-
-// A request line parsed (or rejected) before it reaches the service. Parse
-// failures still produce a response line, so the JSONL protocol stays
-// one-in/one-out even for garbage input.
-struct PendingRequest {
-  serve::RecommendRequest req;
-  bool parse_ok = true;
-  std::string parse_error;
-};
-
-PendingRequest ParseRequestLine(const std::string& line, const Flags& flags) {
-  PendingRequest pending;
-  pending.req.k = flags.topk;
-  pending.req.budget_us = flags.deadline_us;
-  serve::ParsePriority(flags.priority_default, &pending.req.priority);
-  obs::JsonValue value;
-  std::string error;
-  if (!obs::ParseJson(line, &value, &error)) {
-    pending.parse_ok = false;
-    pending.parse_error = "bad JSON: " + error;
-    return pending;
-  }
-  if (value.type != obs::JsonValue::Type::kObject) {
-    pending.parse_ok = false;
-    pending.parse_error = "request must be a JSON object";
-    return pending;
-  }
-  const obs::JsonValue* user = value.Find("user");
-  if (user == nullptr || !user->is_number()) {
-    pending.parse_ok = false;
-    pending.parse_error = "missing numeric \"user\"";
-    return pending;
-  }
-  pending.req.user_id = static_cast<int32_t>(user->number);
-  if (const obs::JsonValue* k = value.Find("k"); k != nullptr) {
-    if (!k->is_number()) {
-      pending.parse_ok = false;
-      pending.parse_error = "\"k\" must be a number";
-      return pending;
-    }
-    pending.req.k = static_cast<int32_t>(k->number);
-  }
-  if (const obs::JsonValue* b = value.Find("budget_us"); b != nullptr) {
-    if (!b->is_number() || b->number < 0) {
-      pending.parse_ok = false;
-      pending.parse_error = "\"budget_us\" must be a non-negative number";
-      return pending;
-    }
-    pending.req.budget_us = static_cast<uint64_t>(b->number);
-  }
-  if (const obs::JsonValue* e = value.Find("exact"); e != nullptr) {
-    if (e->type != obs::JsonValue::Type::kBool) {
-      pending.parse_ok = false;
-      pending.parse_error = "\"exact\" must be a boolean";
-      return pending;
-    }
-    pending.req.exact = e->boolean;
-  }
-  if (const obs::JsonValue* p = value.Find("priority"); p != nullptr) {
-    if (!p->is_string() ||
-        !serve::ParsePriority(p->string, &pending.req.priority)) {
-      pending.parse_ok = false;
-      pending.parse_error =
-          "\"priority\" must be interactive|batch|background";
-      return pending;
-    }
-  }
-  return pending;
 }
 
 std::string ResponseLine(const serve::RecommendRequest& req,
@@ -514,22 +444,23 @@ int main(int argc, char** argv) {
   if (!flags.health_out.empty() || !flags.prom_out.empty()) health.Start();
 
   // Build the request stream.
-  std::vector<PendingRequest> requests;
+  serve::RecommendRequest defaults;
+  defaults.k = flags.topk;
+  defaults.budget_us = flags.deadline_us;
+  serve::ParsePriority(flags.priority_default, &defaults.priority);
+  std::vector<serve::ParsedRequest> requests;
   if (flags.random_requests > 0) {
     util::Rng rng(flags.seed);
     requests.reserve(static_cast<size_t>(flags.random_requests));
-    serve::Priority default_priority = serve::Priority::kInteractive;
-    serve::ParsePriority(flags.priority_default, &default_priority);
     for (int64_t i = 0; i < flags.random_requests; ++i) {
-      PendingRequest pending;
+      serve::ParsedRequest pending;
+      pending.req = defaults;
       pending.req.user_id = static_cast<int32_t>(
           rng.NextBounded(static_cast<uint64_t>(snap->num_users())));
-      pending.req.k = flags.topk;
-      pending.req.budget_us = flags.deadline_us;
-      pending.req.priority =
-          flags.priority_mix
-              ? static_cast<serve::Priority>(i % serve::kNumPriorities)
-              : default_priority;
+      if (flags.priority_mix) {
+        pending.req.priority =
+            static_cast<serve::Priority>(i % serve::kNumPriorities);
+      }
       requests.push_back(pending);
     }
   } else {
@@ -548,7 +479,7 @@ int main(int argc, char** argv) {
     std::string line;
     while (std::getline(in, line)) {
       if (line.empty()) continue;
-      requests.push_back(ParseRequestLine(line, flags));
+      requests.push_back(serve::ParseRequestLine(line, defaults));
     }
   }
 
@@ -587,7 +518,7 @@ int main(int argc, char** argv) {
     window.pop_front();
   };
   bool interrupted = false;
-  for (const PendingRequest& pending : requests) {
+  for (const serve::ParsedRequest& pending : requests) {
     if (train::StopRequested()) {
       interrupted = true;
       break;
