@@ -4,7 +4,7 @@
 
 #include "obs/trace.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
+#include "util/parallel.h"
 
 namespace layergcn::eval {
 
@@ -90,15 +90,21 @@ RankingMetrics Evaluator::Evaluate(const ScoreFn& score_fn,
     // training items are skipped via the sorted adjacency list.
     std::vector<double> recall_parts(chunk.size() * ks_.size(), 0.0);
     std::vector<double> ndcg_parts(chunk.size() * ks_.size(), 0.0);
-    util::ParallelFor(0, static_cast<int64_t>(chunk.size()), [&](int64_t r) {
-      const int32_t u = chunk[static_cast<size_t>(r)];
-      const std::vector<int32_t> ranked = TopKIndicesSortedExclude(
-          scores.row(r), num_items, max_k_,
-          user_items[static_cast<size_t>(u)]);
-      multi_k.Compute(ranked, truth[static_cast<size_t>(u)],
-                      recall_parts.data() + r * static_cast<int64_t>(ks_.size()),
-                      ndcg_parts.data() + r * static_cast<int64_t>(ks_.size()));
-    });
+    util::parallel::For(
+        static_cast<int64_t>(chunk.size()),
+        [&](int64_t lo, int64_t hi) {
+          for (int64_t r = lo; r < hi; ++r) {
+            const int32_t u = chunk[static_cast<size_t>(r)];
+            const std::vector<int32_t> ranked = TopKIndicesSortedExclude(
+                scores.row(r), num_items, max_k_,
+                user_items[static_cast<size_t>(u)]);
+            const int64_t slot = r * static_cast<int64_t>(ks_.size());
+            multi_k.Compute(ranked, truth[static_cast<size_t>(u)],
+                            recall_parts.data() + slot,
+                            ndcg_parts.data() + slot);
+          }
+        },
+        1);
     for (size_t r = 0; r < chunk.size(); ++r) {
       for (size_t ki = 0; ki < ks_.size(); ++ki) {
         recall_total[ki] += recall_parts[r * ks_.size() + ki];
@@ -178,14 +184,21 @@ Evaluator::PerUser Evaluator::EvaluatePerUser(const ScoreFn& score_fn,
     const std::vector<int32_t> chunk(users.begin() + static_cast<int64_t>(begin),
                                      users.begin() + static_cast<int64_t>(end));
     const tensor::Matrix scores = score_fn(chunk);
-    util::ParallelFor(0, static_cast<int64_t>(chunk.size()), [&](int64_t r) {
-      const int32_t u = chunk[static_cast<size_t>(r)];
-      const std::vector<int32_t> ranked = TopKIndicesSortedExclude(
-          scores.row(r), num_items, k, user_items[static_cast<size_t>(u)]);
-      const auto& gt = truth[static_cast<size_t>(u)];
-      out.recall[begin + static_cast<size_t>(r)] = RecallAtK(ranked, gt, k);
-      out.ndcg[begin + static_cast<size_t>(r)] = NdcgAtK(ranked, gt, k);
-    });
+    util::parallel::For(
+        static_cast<int64_t>(chunk.size()),
+        [&](int64_t lo, int64_t hi) {
+          for (int64_t r = lo; r < hi; ++r) {
+            const int32_t u = chunk[static_cast<size_t>(r)];
+            const std::vector<int32_t> ranked = TopKIndicesSortedExclude(
+                scores.row(r), num_items, k,
+                user_items[static_cast<size_t>(u)]);
+            const auto& gt = truth[static_cast<size_t>(u)];
+            const size_t slot = begin + static_cast<size_t>(r);
+            out.recall[slot] = RecallAtK(ranked, gt, k);
+            out.ndcg[slot] = NdcgAtK(ranked, gt, k);
+          }
+        },
+        1);
   }
   return out;
 }

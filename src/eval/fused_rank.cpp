@@ -12,7 +12,6 @@
 #include "util/fault_injection.h"
 #include "util/logging.h"
 #include "util/parallel.h"
-#include "util/thread_pool.h"
 
 namespace layergcn::eval {
 namespace {
@@ -104,8 +103,8 @@ struct Run {
 };
 
 // `v`'s storage, grown to at least `n` elements. Scratch lives as long as
-// one ParallelForRanges range and a range's first tile and run are its
-// largest, so each buffer is allocated once per range.
+// one block of user tiles and a block's first tile and run are its
+// largest, so each buffer is allocated once per block.
 template <typename T>
 T* Grow(std::vector<T>* v, int64_t n) {
   if (static_cast<int64_t>(v->size()) < n) v->resize(static_cast<size_t>(n));
@@ -132,7 +131,7 @@ std::pair<const T*, int64_t> RunPanel(const T* panel, int64_t count,
 // Scoring policies, one per view type. Each one provides
 //   Policy(view, full_scan)   checks shapes; builds per-call state
 //   num_items()               items a full scan covers
-//   Scratch                   its buffers; one per range, grown on use
+//   Scratch                   its buffers; one per block, grown on use
 //   Score(users, m, run, out, &scratch)
 //                             out[r * run.n + j] = score(users[r],
 //                             run.item(j)) for r < m, j < run.n
@@ -150,7 +149,7 @@ class Policy<F32Scoring> {
         << "user/item embedding width mismatch";
     if (!full_scan) return;
     // Item embeddings transposed once per call to (depth x num_items): the
-    // micro-kernel streams items with unit stride and every range shares
+    // micro-kernel streams items with unit stride and every block shares
     // the panel.
     panel_ = tensor::Matrix(items_.cols(), items_.rows());
     for (int64_t i = 0; i < items_.rows(); ++i) {
@@ -353,8 +352,11 @@ Rankings Traverse(const View& view, const std::vector<int32_t>& user_ids,
   const int64_t cap = std::min<int64_t>(k, n);
   const int64_t num_tiles = (num_users + user_tile - 1) / user_tile;
 
-  util::ParallelForRanges(
-      util::parallel::ComputePool(), 0, num_tiles,
+  // One block of user tiles per pool worker, with its own scratch. Blocks
+  // write disjoint users, so where their boundaries fall never shows.
+  const int64_t width = util::parallel::ComputePool()->num_threads();
+  util::parallel::For(
+      num_tiles,
       [&](int64_t tile_lo, int64_t tile_hi) {
         OBS_SPAN("eval.fused_rank.tiles");
         OBS_COUNT("fused_rank.tiles", tile_hi - tile_lo);
@@ -428,7 +430,8 @@ Rankings Traverse(const View& view, const std::vector<int32_t>& user_ids,
             }
           }
         }
-      });
+      },
+      (num_tiles + width - 1) / width);
   return out;
 }
 
@@ -446,9 +449,9 @@ Rankings ReferenceTopK(const tensor::Matrix& user_emb,
   const int64_t depth = item_emb.cols();
   Rankings out(user_ids.size());
   if (num_items == 0) return out;
-  util::ParallelForRanges(
-      util::parallel::ComputePool(), 0,
-      static_cast<int64_t>(user_ids.size()), [&](int64_t lo, int64_t hi) {
+  util::parallel::For(
+      static_cast<int64_t>(user_ids.size()),
+      [&](int64_t lo, int64_t hi) {
         for (int64_t r = lo; r < hi; ++r) {
           MaybeSlowScore(deadline);
           if (DeadlineExpired(deadline)) return;  // remaining users stay empty
@@ -474,7 +477,8 @@ Rankings ReferenceTopK(const tensor::Matrix& user_emb,
             }
           }
         }
-      });
+      },
+      1);
   return out;
 }
 

@@ -7,9 +7,11 @@
 // items are dropped inline by walking each user's sorted exclusion list
 // with a monotone cursor (no per-user vector<bool>), and the survivors
 // stream into bounded per-user top-K heaps. The full score matrix is never
-// materialized. Scratch — the score block, the heaps, the cursors and the
-// policy's own buffers — is allocated once per ParallelForRanges range and
-// reused across its tiles.
+// materialized. The user tiles run as util::parallel::For blocks, one block
+// of tiles per pool worker. Scratch — the score block, the heaps, the
+// cursors and the policy's own buffers — is allocated once per block and
+// reused across its tiles. A one-user call is a single tile and runs inline
+// on the caller.
 //
 // A full scan is the all-items range [0, num_items). A candidate list (the
 // ivf re-rank) is a sorted item id list fed through the same tiles, heaps,
@@ -78,7 +80,7 @@ struct FusedRankConfig {
   /// the bit-level oracle the traversal is tested against. Quantized
   /// encodings and candidate lists have no such fallback and ignore it.
   bool enabled = true;
-  /// Users scored per tile (heaps live in the scratch of one worker).
+  /// Users scored per tile (heaps live in the scratch of one block).
   int64_t user_tile = 64;
   /// Items scored per run (score block is user_tile x item_tile floats).
   int64_t item_tile = 1024;

@@ -27,13 +27,12 @@ Env ParseEnv(int argc, char** argv) {
     double v;
     if (util::ParseDouble(s, &v)) env.scale = v;
   }
+  // A value that does not fit its field is ignored, like a malformed one.
   if (const char* s = std::getenv("REPRO_EPOCHS")) {
-    int64_t v;
-    if (util::ParseInt64(s, &v)) env.max_epochs = static_cast<int>(v);
+    util::ParseInt(s, &env.max_epochs);
   }
   if (const char* s = std::getenv("REPRO_SEED")) {
-    int64_t v;
-    if (util::ParseInt64(s, &v)) env.seed = static_cast<uint64_t>(v);
+    util::ParseInt(s, &env.seed);
   }
   if (const char* s = std::getenv("REPRO_FULL")) {
     env.full = std::string_view(s) == "1";
@@ -46,13 +45,9 @@ Env ParseEnv(int argc, char** argv) {
       LAYERGCN_CHECK(util::ParseDouble(value, &v)) << "bad --scale";
       env.scale = v;
     } else if (FlagValue(arg, "--epochs", &value)) {
-      int64_t v;
-      LAYERGCN_CHECK(util::ParseInt64(value, &v)) << "bad --epochs";
-      env.max_epochs = static_cast<int>(v);
+      LAYERGCN_CHECK(util::ParseInt(value, &env.max_epochs)) << "bad --epochs";
     } else if (FlagValue(arg, "--seed", &value)) {
-      int64_t v;
-      LAYERGCN_CHECK(util::ParseInt64(value, &v)) << "bad --seed";
-      env.seed = static_cast<uint64_t>(v);
+      LAYERGCN_CHECK(util::ParseInt(value, &env.seed)) << "bad --seed";
     } else if (arg == "--full") {
       env.full = true;
     } else if (arg == "--help" || arg == "-h") {

@@ -1,7 +1,6 @@
 #include "pipeline/delta.h"
 
 #include <algorithm>
-#include <numeric>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -49,7 +48,6 @@ void DeltaIngestor::Route(const data::Interaction& ev) {
     test_.push_back(ev);
   } else {
     train_.push_back(ev);
-    graph_dirty_ = true;
   }
 }
 
@@ -81,31 +79,6 @@ IngestStats DeltaIngestor::Apply(const std::vector<WalRecord>& records) {
   OBS_GAUGE("pipeline.graph.items", num_items_);
   OBS_GAUGE("pipeline.graph.train_edges", train_.size());
   return stats;
-}
-
-const graph::BipartiteGraph& DeltaIngestor::Graph() {
-  if (graph_dirty_) {
-    std::vector<std::pair<int32_t, int32_t>> pairs;
-    pairs.reserve(train_.size());
-    for (const data::Interaction& ev : train_) {
-      pairs.emplace_back(ev.user, ev.item);
-    }
-    graph_ = graph::BipartiteGraph(num_users_, num_items_, pairs);
-    graph_dirty_ = false;
-    OBS_COUNT("pipeline.ingest.graph_rebuilds", 1);
-  }
-  return graph_;
-}
-
-const sparse::CsrMatrix& DeltaIngestor::MergeNormalizedAdjacency() {
-  const graph::BipartiteGraph& g = Graph();
-  // Full edge set kept: the counting-sort subset builder doubles as the
-  // delta merge, reusing the workspace and CSR storage across merges.
-  kept_scratch_.resize(static_cast<size_t>(g.num_edges()));
-  std::iota(kept_scratch_.begin(), kept_scratch_.end(), 0);
-  g.NormalizedAdjacencySubsetInto(kept_scratch_, &ws_, &adjacency_);
-  OBS_COUNT("pipeline.ingest.merges", 1);
-  return adjacency_;
 }
 
 data::Dataset DeltaIngestor::BuildDataset() const {

@@ -1,13 +1,9 @@
 // DeltaIngestor: folds committed WAL records into the live interaction set.
 //
 // The ingestor owns the mutable interaction state of the pipeline — a
-// deduplicated event set routed into train / validation / test slices —
-// and rebuilds the training graph incrementally: the bipartite graph is
-// re-assembled from the merged edge list and its normalized adjacency is
-// rebuilt in place through the same counting-sort machinery the trainer
-// uses per epoch (BipartiteGraph::NormalizedAdjacencySubsetInto reusing an
-// AdjacencyWorkspace and the CSR storage), so steady-state merges are
-// O(E + N) with no comparison sort.
+// deduplicated event set routed into train / validation / test slices.
+// Each fine-tune takes that state as a fresh Dataset (BuildDataset()),
+// whose training graph and normalized adjacency the trainer builds.
 //
 // Determinism: applying the same committed record sequence always produces
 // the same state — id spaces grow to max-seen-id + 1, duplicates are
@@ -25,9 +21,7 @@
 #include <vector>
 
 #include "data/dataset.h"
-#include "graph/bipartite_graph.h"
 #include "pipeline/wal.h"
-#include "sparse/csr_matrix.h"
 
 namespace layergcn::pipeline {
 
@@ -67,15 +61,6 @@ class DeltaIngestor {
   int64_t accepted() const { return accepted_; }
   int64_t train_edges() const { return static_cast<int64_t>(train_.size()); }
 
-  /// Training graph over the merged train slice, rebuilt on demand after
-  /// mutating Apply() calls.
-  const graph::BipartiteGraph& Graph();
-
-  /// Â over the merged graph, rebuilt in place via
-  /// NormalizedAdjacencySubsetInto (full edge set kept) with reused
-  /// workspace + CSR storage. Valid until the next Apply().
-  const sparse::CsrMatrix& MergeNormalizedAdjacency();
-
   /// Assembles the full Dataset (train graph + held-out ground truth) for
   /// a fine-tune run. Cold-start held-out entries are dropped by
   /// data::BuildDataset as usual.
@@ -94,12 +79,6 @@ class DeltaIngestor {
   int32_t num_users_ = 0;
   int32_t num_items_ = 0;
   int64_t accepted_ = 0;
-
-  graph::BipartiteGraph graph_;
-  graph::BipartiteGraph::AdjacencyWorkspace ws_;
-  sparse::CsrMatrix adjacency_;
-  std::vector<int64_t> kept_scratch_;
-  bool graph_dirty_ = true;
 };
 
 }  // namespace layergcn::pipeline

@@ -6,7 +6,6 @@
 #include "obs/trace.h"
 #include "util/logging.h"
 #include "util/parallel.h"
-#include "util/thread_pool.h"
 
 namespace layergcn::sparse {
 
@@ -96,12 +95,12 @@ tensor::Matrix CsrMatrix::Multiply(const tensor::Matrix& dense) const {
     }
   };
 
-  // Parallelize over nnz-balanced row ranges on the shared thread pool
+  // One block per nnz-balanced row range, one range per pool worker
   // (output rows are disjoint, so there are no write conflicts and the
   // result is independent of the worker count). row_ptr_ is the cumulative
   // nnz, so balanced boundaries come from a lower_bound per range.
-  util::ThreadPool& pool = *util::parallel::ComputePool();
-  const int64_t ranges = std::min<int64_t>(pool.num_threads(), rows_);
+  const int64_t ranges = std::min<int64_t>(
+      util::parallel::ComputePool()->num_threads(), rows_);
   if (ranges <= 1 || nnz() * t < 131072) {
     run_rows(0, rows_);
     return out;
@@ -117,9 +116,13 @@ tensor::Matrix CsrMatrix::Multiply(const tensor::Matrix& dense) const {
     bounds[static_cast<size_t>(i)] =
         std::max(row, bounds[static_cast<size_t>(i) - 1]);
   }
-  util::ParallelFor(&pool, 0, ranges, [&](int64_t i) {
-    run_rows(bounds[static_cast<size_t>(i)], bounds[static_cast<size_t>(i) + 1]);
-  });
+  util::parallel::For(
+      ranges,
+      [&](int64_t lo, int64_t hi) {
+        run_rows(bounds[static_cast<size_t>(lo)],
+                 bounds[static_cast<size_t>(hi)]);
+      },
+      1);
   return out;
 }
 

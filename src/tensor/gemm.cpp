@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "obs/trace.h"
-#include "util/thread_pool.h"
+#include "util/parallel.h"
 
 namespace layergcn::tensor {
 namespace {
@@ -124,10 +124,15 @@ Matrix GemmBlocked(const Matrix& a, const Matrix& b, bool trans_a,
     GemmMicroPanel(a_rows.data(), m, k, *b_eff, 0, n, out.data(), n);
     return out;
   }
-  util::ParallelForRanges(0, m, [&](int64_t lo, int64_t hi) {
-    GemmMicroPanel(a_rows.data() + lo, hi - lo, k, *b_eff, 0, n, out.row(lo),
-                   n);
-  });
+  // One block of output rows per pool worker; blocks write disjoint rows.
+  const int64_t width = util::parallel::ComputePool()->num_threads();
+  util::parallel::For(
+      m,
+      [&](int64_t lo, int64_t hi) {
+        GemmMicroPanel(a_rows.data() + lo, hi - lo, k, *b_eff, 0, n,
+                       out.row(lo), n);
+      },
+      (m + width - 1) / width);
   return out;
 }
 

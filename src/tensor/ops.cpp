@@ -165,22 +165,18 @@ void ScatterAddRows(Matrix* dst, const std::vector<int32_t>& rows,
   };
 
   // Row-sharded scatter: destination rows are split into one contiguous
-  // shard per worker, so duplicate indices never race, no atomics are
-  // needed, and the float accumulation order per row is fixed. Shard
+  // block per worker, so duplicate indices never race, no atomics are
+  // needed, and the float accumulation order per row is fixed. Block
   // boundaries affect scheduling only, never results, so they may depend on
-  // the pool width. Each shard rescans the index list (O(shards x batch)
+  // the pool width. Each block rescans the index list (O(shards x batch)
   // int compares), which is noise next to the row payload traffic.
-  util::ThreadPool* pool = par::ComputePool();
-  const int64_t shards = std::min<int64_t>(pool->num_threads(), dst->rows());
-  if (shards <= 1 || util::InPoolWorker() ||
-      src.size() < par::kDefaultGrain) {
+  const int64_t shards =
+      std::min<int64_t>(par::ComputePool()->num_threads(), dst->rows());
+  if (shards <= 1 || src.size() < par::kDefaultGrain) {
     apply_range(0, dst->rows());
     return;
   }
-  const int64_t span = (dst->rows() + shards - 1) / shards;
-  util::ParallelFor(pool, 0, shards, [&](int64_t s) {
-    apply_range(s * span, std::min<int64_t>(dst->rows(), (s + 1) * span));
-  });
+  par::For(dst->rows(), apply_range, (dst->rows() + shards - 1) / shards);
 }
 
 Matrix ScaleRows(const Matrix& x, const Matrix& s) {

@@ -3,9 +3,10 @@
 // These are the non-differentiable building blocks; the autograd layer
 // composes them into differentiable ops. All kernels check shapes with
 // LAYERGCN_CHECK and accumulate reductions in double for numerical
-// stability. Kernels never touch RNG state, so they are safe to
-// parallelize (thread pool / OpenMP) without affecting reproducibility.
-// MatMul routes through the blocked kernel in tensor/gemm.h.
+// stability. Kernels never touch RNG state. Each one that splits its work
+// runs it as util::parallel::For blocks that write disjoint outputs, so its
+// result is bit-identical at any pool width. MatMul routes through the
+// blocked kernel in tensor/gemm.h.
 
 #ifndef LAYERGCN_TENSOR_OPS_H_
 #define LAYERGCN_TENSOR_OPS_H_
@@ -67,7 +68,9 @@ Matrix Transpose(const Matrix& a);
 /// Returns the |rows| x cols matrix whose i-th row is a.row(rows[i]).
 Matrix GatherRows(const Matrix& a, const std::vector<int32_t>& rows);
 
-/// dst.row(rows[i]) += src.row(i) for every i. Duplicate indices accumulate.
+/// dst.row(rows[i]) += src.row(i) for every i. Duplicate indices accumulate
+/// in ascending i, at any pool width: the destination rows are split into
+/// one block per pool worker, and each block applies only its own rows.
 void ScatterAddRows(Matrix* dst, const std::vector<int32_t>& rows,
                     const Matrix& src);
 

@@ -1,25 +1,39 @@
-// Deterministic data-parallel primitives over the shared ThreadPool.
+// The one data-parallel loop of the library, over the shared ThreadPool.
 //
-// The training hot path (Adam, elementwise autograd kernels, the embedding
-// scatter-add) must produce bit-identical results at 1, 2, or N threads so
-// any run is reproducible from its seed regardless of the machine it lands
-// on. The primitives here make that a structural property instead of a
-// per-kernel proof obligation:
+// Every kernel that runs work on the compute pool — the elementwise
+// tensor/autograd kernels, Adam, the embedding scatter-add, SpMM, GEMM and
+// the score-and-rank traversal — does it through For (or Reduce, which
+// shares its dispatch). Training must produce bit-identical results at 1,
+// 2, or N threads so any run is reproducible from its seed regardless of the
+// machine it lands on. The contract below makes that a structural property
+// instead of a per-kernel proof obligation:
 //
 //   * The iteration space [0, n) is split into fixed-size blocks of `grain`
-//     iterations. The partition depends only on (n, grain) — never on the
-//     worker count — so block boundaries are identical on every machine.
+//     iterations. The partition is a function of (n, grain) only. A call
+//     site may derive its grain from the pool width (ComputePool()
+//     ->num_threads()) only where every block writes disjoint outputs, so
+//     where the block boundaries fall cannot show in the result.
 //   * Blocks are claimed dynamically (atomic cursor), so scheduling stays
 //     load-balanced; but a block only ever writes its own outputs or its own
-//     partial-reduction slot, so which worker ran it cannot be observed.
+//     partial-reduction slot, so which thread ran it cannot be observed.
 //   * Reduction partials are combined on the calling thread in ascending
 //     block order (a fixed left-to-right tree). Each block accumulates in
 //     double; the combine is a double sum in block order. The serial path
 //     performs the same blocked accumulation, so serial == parallel bitwise.
 //
-// Nested use is safe: a call made from inside a pool worker runs inline
-// (the same rule ThreadPool::ParallelFor follows), with identical blocking
-// and combine order, so determinism survives nesting too.
+// A dispatch waits only for its own blocks. The calling thread claims
+// blocks off the cursor like its helpers and returns once every block has
+// run. At most (pool width - 1) helpers are submitted, so the threads
+// running blocks never outnumber the pool width. A helper that starts after
+// the last block is claimed exits at once; it touches only state it
+// co-owns with the dispatch, never the caller's stack. So a dispatch can
+// neither wait on nor be starved by a task it did not submit: if every
+// worker is busy, the caller runs all of its blocks itself.
+//
+// Nested loops run inline: a call made on a pool worker, or by a caller
+// while it runs its own blocks, runs its blocks serially on that thread,
+// with identical blocking and combine order, so determinism survives
+// nesting too. Block bodies must not throw.
 //
 // The pool used by every kernel in the library is ComputePool(): by default
 // the process-global pool (sized by LAYERGCN_NUM_THREADS or the hardware),
@@ -44,9 +58,9 @@ namespace parallel {
 /// represents roughly this much scalar work.
 ///
 /// The pool is engaged only when the partition has more than one block (and
-/// the pool has more than one worker, and the caller is not already a pool
-/// worker); otherwise the same blocked loop runs inline on the caller, so
-/// the work-size cutoff is the grain itself.
+/// the pool has more than one worker, and the loop is not nested);
+/// otherwise the same blocked loop runs inline on the caller, so the
+/// work-size cutoff is the grain itself.
 inline constexpr int64_t kDefaultGrain = 16384;
 
 /// Number of fixed blocks for an iteration space of `n` at block size

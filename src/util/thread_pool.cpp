@@ -1,19 +1,17 @@
 #include "util/thread_pool.h"
 
-#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "util/logging.h"
-#include "util/parallel.h"
 
 namespace layergcn::util {
 namespace {
 
-// True on threads that live inside a ThreadPool. ParallelFor{,Ranges} check
-// it to run inline instead of submitting nested work: Wait() counts *all*
-// in-flight tasks, so a worker waiting on its own pool would never return.
+// True on threads that live inside a ThreadPool. util::parallel loops check
+// it to run nested work inline on the worker.
 thread_local bool t_in_pool_worker = false;
 
 }  // namespace
@@ -21,9 +19,9 @@ thread_local bool t_in_pool_worker = false;
 ThreadPool::ThreadPool(int num_threads) {
   if (num_threads <= 0) {
     num_threads = static_cast<int>(std::thread::hardware_concurrency());
-    // Keep at least two workers even on single-core machines: ParallelFor
-    // only engages the pool when num_threads() > 1, and the concurrent
-    // submit/wait paths should stay exercised (and sanitized) everywhere.
+    // Keep at least two workers even on single-core machines: a parallel
+    // loop only engages the pool when num_threads() > 1, and the concurrent
+    // dispatch paths should stay exercised (and sanitized) everywhere.
     if (num_threads < 2) num_threads = 2;
   }
   workers_.reserve(static_cast<size_t>(num_threads));
@@ -46,16 +44,10 @@ void ThreadPool::Submit(std::function<void()> task) {
     std::lock_guard<std::mutex> lock(mutex_);
     LAYERGCN_CHECK(!shutdown_);
     tasks_.push(std::move(task));
-    ++in_flight_;
     OBS_GAUGE("pool.queue_depth", tasks_.size());
   }
   OBS_COUNT("pool.tasks_submitted", 1);
   task_cv_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  done_cv_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 void ThreadPool::WorkerLoop() {
@@ -79,10 +71,6 @@ void ThreadPool::WorkerLoop() {
     OBS_OBSERVE("pool.task_dur_us",
                 (std::vector<double>{10, 100, 1000, 10000, 100000, 1000000}),
                 task_us);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (--in_flight_ == 0) done_cv_.notify_all();
-    }
   }
 }
 
@@ -106,57 +94,5 @@ ThreadPool& ThreadPool::Global() {
 }
 
 bool InPoolWorker() { return t_in_pool_worker; }
-
-void ParallelFor(ThreadPool* pool, int64_t begin, int64_t end,
-                 const std::function<void(int64_t)>& body) {
-  const int64_t n = end - begin;
-  if (n <= 0) return;
-  const int workers = pool->num_threads();
-  if (n == 1 || workers <= 1 || t_in_pool_worker) {
-    for (int64_t i = begin; i < end; ++i) body(i);
-    return;
-  }
-  const int64_t chunks = std::min<int64_t>(workers, n);
-  const int64_t chunk_size = (n + chunks - 1) / chunks;
-  for (int64_t c = 0; c < chunks; ++c) {
-    const int64_t lo = begin + c * chunk_size;
-    const int64_t hi = std::min(end, lo + chunk_size);
-    if (lo >= hi) break;
-    pool->Submit([lo, hi, &body] {
-      for (int64_t i = lo; i < hi; ++i) body(i);
-    });
-  }
-  pool->Wait();
-}
-
-void ParallelFor(int64_t begin, int64_t end,
-                 const std::function<void(int64_t)>& body) {
-  ParallelFor(parallel::ComputePool(), begin, end, body);
-}
-
-void ParallelForRanges(ThreadPool* pool, int64_t begin, int64_t end,
-                       const std::function<void(int64_t, int64_t)>& body) {
-  const int64_t n = end - begin;
-  if (n <= 0) return;
-  const int workers = pool->num_threads();
-  if (workers <= 1 || n == 1 || t_in_pool_worker) {
-    body(begin, end);
-    return;
-  }
-  const int64_t chunks = std::min<int64_t>(workers, n);
-  const int64_t chunk_size = (n + chunks - 1) / chunks;
-  for (int64_t c = 0; c < chunks; ++c) {
-    const int64_t lo = begin + c * chunk_size;
-    const int64_t hi = std::min(end, lo + chunk_size);
-    if (lo >= hi) break;
-    pool->Submit([lo, hi, &body] { body(lo, hi); });
-  }
-  pool->Wait();
-}
-
-void ParallelForRanges(int64_t begin, int64_t end,
-                       const std::function<void(int64_t, int64_t)>& body) {
-  ParallelForRanges(parallel::ComputePool(), begin, end, body);
-}
 
 }  // namespace layergcn::util

@@ -3,17 +3,7 @@
 #include <cstdio>
 #include <string>
 
-#include "obs/metrics.h"
-
 namespace layergcn::util {
-
-ScopedTimer::~ScopedTimer() {
-  if (!obs::Enabled()) return;
-  const auto micros = static_cast<uint64_t>(timer_.ElapsedSeconds() * 1e6);
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  registry.GetCounter(std::string(name_) + ".sum_us")->Add(micros);
-  registry.GetCounter(std::string(name_) + ".count")->Increment();
-}
 
 std::string FormatDuration(double seconds) {
   char buf[64];

@@ -24,32 +24,9 @@ class Timer {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  /// Milliseconds elapsed since construction or the last Reset().
-  double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Stopwatch that accumulates its scope's duration into the obs
-/// MetricsRegistry on destruction: counters `<name>.sum_us` and
-/// `<name>.count` (same layout the OBS_SPAN sites use, so legacy timing
-/// call sites land in the same snapshot). No-op while obs metrics are
-/// runtime-disabled. `name` must outlive the scope (use a literal).
-class ScopedTimer {
- public:
-  explicit ScopedTimer(const char* name) : name_(name) {}
-  ~ScopedTimer();
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-  double ElapsedSeconds() const { return timer_.ElapsedSeconds(); }
-
- private:
-  const char* name_;
-  Timer timer_;
 };
 
 /// Formats a duration like "1m23.4s" / "456ms" for log lines.

@@ -181,6 +181,30 @@ TEST(FusedRankTest, DeterministicAcrossThreadCounts) {
   }
 }
 
+// The materialize-then-rank reference ranks one user per block; which
+// thread ran a user must not show in its ranking or its score bits.
+TEST(FusedRankTest, ReferenceDeterministicAcrossThreadCounts) {
+  util::Rng rng(23);
+  const tensor::Matrix user_emb = testing::RandomMatrix(150, 12, &rng);
+  const tensor::Matrix item_emb = testing::RandomMatrix(400, 12, &rng);
+  const auto exclude = RandomExclusions(150, 400, 0.1, &rng);
+  const auto users = AllUsers(150);
+  FusedRankConfig reference;
+  reference.enabled = false;
+  using Result = std::pair<std::vector<std::vector<int32_t>>,
+                           std::vector<std::vector<float>>>;
+  const std::vector<Result> results = testing::AtPoolWidths([&] {
+    Result r;
+    r.first = FusedScoreTopK(user_emb, users, item_emb, 20, &exclude,
+                             reference, nullptr, &r.second);
+    return r;
+  });
+  for (size_t w = 1; w < results.size(); ++w) {
+    ExpectSameRankings(results[w].first, results[0].first, "reference");
+    EXPECT_EQ(results[w].second, results[0].second) << w;
+  }
+}
+
 // A deadline already spent when the call starts ranks nothing, for every
 // encoding and for full scans and candidate lists alike: the clock is read
 // before the first user tile.
@@ -314,6 +338,44 @@ TEST(FusedRankEvaluatorTest, EvaluatorPathsAgree) {
       EXPECT_DOUBLE_EQ(pu_fused.recall[i], pu_scorefn.recall[i]);
       EXPECT_DOUBLE_EQ(pu_fused.ndcg[i], pu_scorefn.ndcg[i]);
     }
+  }
+}
+
+// Both ScoreFn paths rank each user of a score chunk in its own block; the
+// metrics and per-user values must be the same bits at any pool width.
+TEST(FusedRankEvaluatorTest, ScoreFnPathsDeterministicAcrossThreadCounts) {
+  data::SyntheticConfig cfg;
+  cfg.name = "scorefn-widths";
+  cfg.num_users = 300;
+  cfg.num_items = 120;
+  cfg.num_interactions = 4000;
+  cfg.num_clusters = 4;
+  const data::Dataset ds = data::ChronologicalSplitDataset(
+      cfg.name, cfg.num_users, cfg.num_items,
+      data::GenerateInteractions(cfg, 41));
+  util::Rng rng(43);
+  const tensor::Matrix user_emb = testing::RandomMatrix(ds.num_users, 8, &rng);
+  const tensor::Matrix item_emb = testing::RandomMatrix(ds.num_items, 8, &rng);
+  const ScoreFn score_fn = [&](const std::vector<int32_t>& users) {
+    return tensor::MatMul(tensor::GatherRows(user_emb, users), item_emb,
+                          false, true);
+  };
+  const Evaluator evaluator(&ds, {5, 10, 20}, /*chunk_size=*/64);
+
+  struct Result {
+    RankingMetrics metrics;
+    Evaluator::PerUser per_user;
+  };
+  const std::vector<Result> results = testing::AtPoolWidths([&] {
+    return Result{evaluator.Evaluate(score_fn, EvalSplit::kTest),
+                  evaluator.EvaluatePerUser(score_fn, EvalSplit::kTest, 10)};
+  });
+  ASSERT_FALSE(results[0].per_user.recall.empty());
+  for (size_t w = 1; w < results.size(); ++w) {
+    EXPECT_EQ(results[w].metrics.recall, results[0].metrics.recall) << w;
+    EXPECT_EQ(results[w].metrics.ndcg, results[0].metrics.ndcg) << w;
+    EXPECT_EQ(results[w].per_user.recall, results[0].per_user.recall) << w;
+    EXPECT_EQ(results[w].per_user.ndcg, results[0].per_user.ndcg) << w;
   }
 }
 

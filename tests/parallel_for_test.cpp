@@ -1,7 +1,11 @@
 #include "util/parallel.h"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <latch>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -113,6 +117,59 @@ TEST(ParallelForTest, NestedCallsRunInlineWithoutDeadlock) {
       },
       1);
   for (double r : results) EXPECT_EQ(r, 4950.0);
+}
+
+// A dispatch waits only for its own blocks: with every worker held by a
+// task the loop did not submit, the calling thread runs all of the blocks
+// itself and returns while those tasks are still running. (A loop that
+// waited for the pool to go idle would return only after their 5 s
+// timeouts.)
+TEST(ParallelForTest, CallerRunsItsBlocksWhileEveryWorkerIsBusy) {
+  constexpr int kWorkers = 2;
+  // Declared before the pool, whose destructor joins the holding tasks.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  std::atomic<int> finished{0};
+  std::latch holding(kWorkers);
+  ThreadPool pool(kWorkers);
+  ScopedComputePool scope(&pool);
+  for (int w = 0; w < kWorkers; ++w) {
+    pool.Submit([&] {
+      holding.count_down();
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait_for(lock, std::chrono::seconds(5), [&] { return release; });
+      finished.fetch_add(1);
+    });
+  }
+  holding.wait();
+
+  const int64_t n = 1000;
+  std::vector<int> counts(static_cast<size_t>(n), 0);
+  For(
+      n,
+      [&](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i) ++counts[static_cast<size_t>(i)];
+      },
+      10);
+  const double sum = Reduce(
+      n,
+      [](int64_t lo, int64_t hi) {
+        double s = 0.0;
+        for (int64_t i = lo; i < hi; ++i) s += static_cast<double>(i);
+        return s;
+      },
+      10);
+  EXPECT_EQ(finished.load(), 0) << "the loops waited for unrelated tasks";
+  EXPECT_TRUE(std::all_of(counts.begin(), counts.end(),
+                          [](int c) { return c == 1; }));
+  EXPECT_EQ(sum, 499500.0);
+
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
 }
 
 TEST(ParallelReduceTest, EmptyRangeIsZero) {

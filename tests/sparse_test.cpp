@@ -4,6 +4,7 @@
 
 #include "gtest/gtest.h"
 #include "tensor/ops.h"
+#include "test_util.h"
 #include "util/rng.h"
 
 namespace layergcn::sparse {
@@ -95,6 +96,32 @@ TEST(CsrTest, MultiplyRandomAgainstDense) {
   for (const auto& e : coo.entries) dense(e.row, e.col) += e.value;
   tensor::Matrix want = tensor::MatMul(dense, x);
   EXPECT_TRUE(got.AllClose(want, 1e-4f));
+}
+
+// Above the serial cutoff (nnz * cols >= 131072) the product runs one
+// block per nnz-balanced row range, one range per pool worker. How many
+// ranges there are must not change a bit.
+TEST(CsrTest, MultiplyBitIdenticalAcrossPoolWidths) {
+  util::Rng rng(101);
+  CooMatrix coo;
+  coo.rows = 3001;
+  coo.cols = 2000;
+  for (int k = 0; k < 40000; ++k) {
+    // A quarter of the entries crowd into the first 40 rows, so the
+    // nnz-balanced ranges differ from row-count-balanced ones.
+    const int32_t row = k % 4 == 0 ? rng.NextInt(0, 40) : rng.NextInt(0, 3001);
+    coo.entries.push_back({row, rng.NextInt(0, 2000),
+                           static_cast<float>(rng.NextGaussian())});
+  }
+  const CsrMatrix m = CsrMatrix::FromCoo(coo);
+  tensor::Matrix x(coo.cols, 16);
+  x.UniformInit(&rng, -1.f, 1.f);
+  ASSERT_GE(m.nnz() * x.cols(), 131072);
+  const auto outs =
+      layergcn::testing::AtPoolWidths([&] { return m.Multiply(x); });
+  for (size_t w = 1; w < outs.size(); ++w) {
+    EXPECT_TRUE(layergcn::testing::SameBits(outs[w], outs[0])) << w;
+  }
 }
 
 TEST(CsrTest, TransposeCorrect) {

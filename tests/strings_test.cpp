@@ -1,5 +1,10 @@
 #include "util/strings.h"
 
+#include <cstdlib>
+#include <string>
+#include <vector>
+
+#include "experiments/env.h"
 #include "gtest/gtest.h"
 
 namespace layergcn::util {
@@ -76,6 +81,63 @@ TEST(StartsWithTest, Basics) {
   EXPECT_TRUE(StartsWith("abc", ""));
   EXPECT_FALSE(StartsWith("ab", "abc"));
   EXPECT_FALSE(StartsWith("xbc", "ab"));
+}
+
+// The bench programs' --epochs/--seed and REPRO_EPOCHS/REPRO_SEED take a
+// value only when it fits the field; they never wrap.
+class ParseEnvTest : public ::testing::Test {
+ protected:
+  void SetUp() override { ClearVariables(); }
+  void TearDown() override { ClearVariables(); }
+
+  static void ClearVariables() {
+    for (const char* name :
+         {"REPRO_SCALE", "REPRO_EPOCHS", "REPRO_SEED", "REPRO_FULL"}) {
+      unsetenv(name);
+    }
+  }
+
+  static experiments::Env Parse(std::vector<std::string> flags) {
+    flags.insert(flags.begin(), "bench");
+    std::vector<char*> argv;
+    for (std::string& f : flags) argv.push_back(f.data());
+    return experiments::ParseEnv(static_cast<int>(argv.size()), argv.data());
+  }
+};
+
+using ParseEnvDeathTest = ParseEnvTest;
+
+TEST_F(ParseEnvTest, FlagsInRangeAreTaken) {
+  const experiments::Env env = Parse({"--epochs=7", "--seed=123"});
+  EXPECT_EQ(env.max_epochs, 7);
+  EXPECT_EQ(env.seed, 123u);
+}
+
+TEST_F(ParseEnvDeathTest, FlagOutOfRangeFailsLikeMalformed) {
+  EXPECT_DEATH(Parse({"--epochs=4294967296"}), "bad --epochs");
+  EXPECT_DEATH(Parse({"--epochs=2x"}), "bad --epochs");
+  EXPECT_DEATH(Parse({"--seed=-1"}), "bad --seed");
+  EXPECT_DEATH(Parse({"--seed=x"}), "bad --seed");
+}
+
+TEST_F(ParseEnvTest, VariableOutOfRangeIsIgnoredLikeMalformed) {
+  setenv("REPRO_EPOCHS", "4294967297", 1);
+  setenv("REPRO_SEED", "-1", 1);
+  experiments::Env env = Parse({});
+  EXPECT_EQ(env.max_epochs, 0);
+  EXPECT_EQ(env.seed, 42u);
+
+  setenv("REPRO_EPOCHS", "3x", 1);
+  setenv("REPRO_SEED", "x", 1);
+  env = Parse({});
+  EXPECT_EQ(env.max_epochs, 0);
+  EXPECT_EQ(env.seed, 42u);
+
+  setenv("REPRO_EPOCHS", "5", 1);
+  setenv("REPRO_SEED", "9", 1);
+  env = Parse({});
+  EXPECT_EQ(env.max_epochs, 5);
+  EXPECT_EQ(env.seed, 9u);
 }
 
 }  // namespace

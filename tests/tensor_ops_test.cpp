@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "gtest/gtest.h"
+#include "test_util.h"
 #include "util/rng.h"
 
 namespace layergcn::tensor {
@@ -59,6 +60,24 @@ TEST(MatMulTest, AllTransposeLayoutsAgree) {
   EXPECT_TRUE(MatMul(at, b, true, false).AllClose(ref, 1e-5f));
   EXPECT_TRUE(MatMul(a, bt, false, true).AllClose(ref, 1e-5f));
   EXPECT_TRUE(MatMul(at, bt, true, true).AllClose(ref, 1e-5f));
+}
+
+// Above the parallel cutoff the output rows run as one block per pool
+// worker. A block boundary that is not a multiple of the 4-row tile moves
+// rows between full and edge tiles; neither may change a bit.
+TEST(MatMulTest, BitIdenticalAcrossPoolWidths) {
+  const Matrix a = Rand(203, 37, 11);
+  const Matrix b = Rand(37, 71, 12);
+  const Matrix bt = Transpose(b);
+  ASSERT_GE(a.rows() * a.cols() * b.cols(), 1 << 18);  // kParallelFlops
+  const auto plain =
+      layergcn::testing::AtPoolWidths([&] { return MatMul(a, b); });
+  const auto trans_b =
+      layergcn::testing::AtPoolWidths([&] { return MatMul(a, bt, false, true); });
+  for (size_t w = 1; w < plain.size(); ++w) {
+    EXPECT_TRUE(layergcn::testing::SameBits(plain[w], plain[0])) << w;
+    EXPECT_TRUE(layergcn::testing::SameBits(trans_b[w], trans_b[0])) << w;
+  }
 }
 
 TEST(MatMulDeathTest, InnerDimMismatchAborts) {

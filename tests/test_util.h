@@ -1,7 +1,8 @@
 // Shared helpers for the unit tests: random matrices, numerical gradient
-// checking against the autograd engine, tiny fixture datasets, an
-// embedding pair in every scoring encoding with a scalar ranking oracle,
-// and the small serving snapshot the serving suites publish.
+// checking against the autograd engine, pool-width sweeps, tiny fixture
+// datasets, an embedding pair in every scoring encoding with a scalar
+// ranking oracle, and the small serving snapshot the serving suites
+// publish.
 
 #ifndef LAYERGCN_TESTS_TEST_UTIL_H_
 #define LAYERGCN_TESTS_TEST_UTIL_H_
@@ -25,6 +26,7 @@
 #include "tensor/matrix.h"
 #include "tensor/quant.h"
 #include "train/checkpoint.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -97,6 +99,19 @@ inline void ExpectGradientsMatch(const LossBuilder& build,
           << "param " << pi << " entry " << i;
     }
   }
+}
+
+/// `run()`'s results on fresh compute pools of width 1, 2 and 8, in that
+/// order, for tests that require the same bits at every pool width.
+template <typename Fn>
+auto AtPoolWidths(const Fn& run) {
+  std::vector<decltype(run())> out;
+  for (int width : {1, 2, 8}) {
+    util::ThreadPool pool(width);
+    util::parallel::ScopedComputePool scope(&pool);
+    out.push_back(run());
+  }
+  return out;
 }
 
 /// True when `a` and `b` have the same shape and the same bits (unlike

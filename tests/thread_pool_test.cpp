@@ -1,10 +1,12 @@
 #include "util/thread_pool.h"
 
 #include <atomic>
+#include <latch>
 #include <numeric>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "util/parallel.h"
 
 namespace layergcn::util {
 namespace {
@@ -12,65 +14,46 @@ namespace {
 TEST(ThreadPoolTest, RunsSubmittedTasks) {
   ThreadPool pool(3);
   std::atomic<int> counter{0};
+  std::latch done(50);
   for (int i = 0; i < 50; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
+    pool.Submit([&] {
+      counter.fetch_add(1);
+      done.count_down();
+    });
   }
-  pool.Wait();
+  done.wait();
   EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(ThreadPoolTest, WaitOnIdlePoolReturns) {
-  ThreadPool pool(2);
-  pool.Wait();  // must not hang
-  SUCCEED();
 }
 
 TEST(ThreadPoolTest, ReusableAfterWait) {
   ThreadPool pool(2);
   std::atomic<int> counter{0};
-  pool.Submit([&] { counter.fetch_add(1); });
-  pool.Wait();
-  pool.Submit([&] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 2);
-}
-
-TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(100);
-  ParallelFor(&pool, 0, 100, [&](int64_t i) {
-    hits[static_cast<size_t>(i)].fetch_add(1);
+  std::latch first(1);
+  pool.Submit([&] {
+    counter.fetch_add(1);
+    first.count_down();
   });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelForTest, EmptyRangeIsNoop) {
-  ThreadPool pool(2);
-  int calls = 0;
-  ParallelFor(&pool, 5, 5, [&](int64_t) { ++calls; });
-  ParallelFor(&pool, 7, 3, [&](int64_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-}
-
-TEST(ParallelForTest, NonZeroBegin) {
-  ThreadPool pool(2);
-  std::atomic<int64_t> sum{0};
-  ParallelFor(&pool, 10, 20, [&](int64_t i) { sum.fetch_add(i); });
-  EXPECT_EQ(sum.load(), 145);  // 10 + ... + 19
-}
-
-TEST(ParallelForTest, GlobalPoolWorks) {
-  std::atomic<int> counter{0};
-  ParallelFor(0, 64, [&](int64_t) { counter.fetch_add(1); });
-  EXPECT_EQ(counter.load(), 64);
+  first.wait();
+  std::latch second(1);
+  pool.Submit([&] {
+    counter.fetch_add(1);
+    second.count_down();
+  });
+  second.wait();
+  EXPECT_EQ(counter.load(), 2);
 }
 
 TEST(ThreadPoolTest, SingleThreadPoolStillCorrect) {
   ThreadPool pool(1);
+  parallel::ScopedComputePool scope(&pool);
   std::vector<int> order;
-  ParallelFor(&pool, 0, 10, [&](int64_t i) {
-    order.push_back(static_cast<int>(i));  // single worker: no race
-  });
+  parallel::For(
+      10,
+      [&](int64_t lo, int64_t hi) {
+        // A width-1 pool runs every block inline, in order: no race.
+        for (int64_t i = lo; i < hi; ++i) order.push_back(static_cast<int>(i));
+      },
+      1);
   std::vector<int> expected(10);
   std::iota(expected.begin(), expected.end(), 0);
   EXPECT_EQ(order, expected);
