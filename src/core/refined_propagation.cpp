@@ -17,7 +17,7 @@ using tensor::Matrix;
 
 namespace {
 
-// Rows whose row sums are taken together (see RowSums).
+// Rows whose row sums are taken together (see tensor::RowDotGroup).
 constexpr size_t kGroup = 4;
 
 template <size_t K>
@@ -35,20 +35,6 @@ struct Layer {
 // Rows per parallel block, as in the tensor kernels: ~kDefaultGrain scalars.
 int64_t RowGrain(int64_t cols) {
   return std::max<int64_t>(1, par::kDefaultGrain / std::max<int64_t>(cols, 1));
-}
-
-// out[k] = Σ_c a[k][c]·b[k][c], each product in f32 and each sum in f64 in
-// ascending c: the tensor kernels' rounding. The K sums are independent
-// chains, so taking them together hides the latency of the f64 adds.
-template <size_t K>
-std::array<double, K> RowSums(const RowPtrs<K>& a, const RowPtrs<K>& b,
-                              int64_t t) {
-  std::array<double, K> out{};
-  for (int64_t c = 0; c < t; ++c) {
-#pragma GCC unroll 8
-    for (size_t k = 0; k < K; ++k) out[k] += a[k][c] * b[k][c];
-  }
-  return out;
 }
 
 // Row r0 + k of `m` for k < rows, repeating the last row to fill a group
@@ -97,7 +83,7 @@ ag::Var RefinedPropagation(const sparse::CsrMatrix* adj, ag::Var x0,
   std::vector<double> x0_norm2(static_cast<size_t>(n));
   for_groups([&](int64_t r0, int64_t rows) {
     const RowPtrs<kGroup> px = GroupRows(xv, r0, rows);
-    const auto sums = RowSums<kGroup>(px, px, t);
+    const auto sums = tensor::RowDotGroup<kGroup>(px, px, t);
     std::copy(sums.begin(), sums.begin() + rows, x0_norm2.begin() + r0);
   });
 
@@ -122,7 +108,7 @@ ag::Var RefinedPropagation(const sparse::CsrMatrix* adj, ag::Var x0,
     for_groups([&](int64_t r0, int64_t rows) {
       const RowPtrs<kGroup> ph = GroupRows(layer.h, r0, rows);
       // <h, x0> and |h|² of the group's rows, as RowwiseCosine takes them.
-      const auto sums = RowSums<2 * kGroup>(
+      const auto sums = tensor::RowDotGroup<2 * kGroup>(
           Concat(ph, ph), Concat(GroupRows(xv, r0, rows), ph), t);
       for (int64_t k = 0; k < rows; ++k) {
         const int64_t r = r0 + k;
@@ -195,7 +181,7 @@ ag::Var RefinedPropagation(const sparse::CsrMatrix* adj, ag::Var x0,
               const Matrix& gl = g.empty() ? g_out : g;
               // ScaleRows' gradient for the scale, <g, h>, which AddScalar
               // passes on to the cosine unchanged.
-              const auto ga_sums = RowSums<kGroup>(
+              const auto ga_sums = tensor::RowDotGroup<kGroup>(
                   GroupRows(gl, r0, rows), GroupRows(layer.h, r0, rows), t);
               for (int64_t k = 0; k < rows; ++k) {
                 const int64_t r = r0 + k;

@@ -1,7 +1,9 @@
 #include "models/embedding_recommender.h"
 
 #include <algorithm>
+#include <utility>
 
+#include "models/bpr_loss.h"
 #include "obs/trace.h"
 #include "tensor/ops.h"
 #include "train/stop_token.h"
@@ -58,28 +60,18 @@ ag::Var EmbeddingRecommender::BatchLoss(ag::Tape* tape, ag::Var x0,
     pos_rows[k] = batch.pos_items[k] + nu;
     neg_rows[k] = batch.neg_items[k] + nu;
   }
-  ag::Var eu = ag::GatherRows(final_emb, batch.users);
-  ag::Var ei = ag::GatherRows(final_emb, pos_rows);
-  ag::Var ej = ag::GatherRows(final_emb, neg_rows);
+  return RankingLoss(final_emb, x0, batch.users, std::move(pos_rows),
+                     std::move(neg_rows));
+}
 
-  // -log σ(r_ui − r_uj) = softplus(r_uj − r_ui).
-  ag::Var pos_scores = ag::RowDots(eu, ei);
-  ag::Var neg_scores = ag::RowDots(eu, ej);
-  ag::Var bpr = ag::Mean(ag::Softplus(ag::Sub(neg_scores, pos_scores)));
-
-  if (config_.l2_reg > 0.0) {
-    // λ‖X⁰‖² restricted to the embeddings used by the batch (the standard
-    // BPR regularization granularity), normalized by batch size.
-    ag::Var e0u = ag::GatherRows(x0, batch.users);
-    ag::Var e0i = ag::GatherRows(x0, pos_rows);
-    ag::Var e0j = ag::GatherRows(x0, neg_rows);
-    ag::Var reg = ag::AddN({ag::SumSquares(e0u), ag::SumSquares(e0i),
-                            ag::SumSquares(e0j)});
-    const float coef = static_cast<float>(
-        config_.l2_reg / static_cast<double>(batch.size()));
-    return ag::Add(bpr, ag::Scale(reg, coef));
-  }
-  return bpr;
+ag::Var EmbeddingRecommender::RankingLoss(ag::Var final_emb, ag::Var x0,
+                                          std::vector<int32_t> users,
+                                          std::vector<int32_t> pos_rows,
+                                          std::vector<int32_t> neg_rows) {
+  // λ‖X⁰‖² is restricted to the embeddings the batch uses (the standard
+  // BPR regularization granularity) and normalized by batch size.
+  return BprLoss(final_emb, x0, std::move(users), std::move(pos_rows),
+                 std::move(neg_rows), config_.l2_reg);
 }
 
 double EmbeddingRecommender::TrainEpoch(util::Rng* rng,

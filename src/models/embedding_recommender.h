@@ -4,7 +4,11 @@
 // Propagate(), which maps the ego embedding table X⁰ to the final node
 // representations X (paper Eq. 3 / Eq. 9); the base class provides the
 // training loop over BPR batches (Eq. 11), the L2 penalty on X⁰ (Eq. 12),
-// inference caching and inner-product scoring (Eq. 10).
+// inference caching and inner-product scoring (Eq. 10). The BPR loss and
+// the L2 penalty are one fused tape node (models/bpr_loss.h): its backward
+// adds each batch row's terms into the gradients of X and X⁰ in place, with
+// no dense N x T temporary, and its trajectory is bit-identical to the op
+// chain it replaced.
 //
 // Models with a non-BPR objective (UltraGCN's constraint loss) override
 // BatchLoss() instead; models that are not embedding-propagation shaped at
@@ -73,9 +77,18 @@ class EmbeddingRecommender : public train::Recommender {
   virtual ag::Var Propagate(ag::Tape* tape, ag::Var x0, bool training,
                             util::Rng* rng) = 0;
 
-  /// Loss of one batch. Default: BPR over Propagate() + λ‖X⁰‖².
+  /// Loss of one batch. Default: RankingLoss() over Propagate().
   virtual ag::Var BatchLoss(ag::Tape* tape, ag::Var x0,
                             const train::BprBatch& batch, util::Rng* rng);
+
+  /// BPR over the batch's rows of the final embeddings plus λ‖X⁰‖² on the
+  /// same rows of the ego table, as the one fused op models::BprLoss. Item
+  /// rows arrive in node space. Virtual so the trainer oracle can run the
+  /// op chain the fused op replaced (tests/test_util.h BprChain).
+  virtual ag::Var RankingLoss(ag::Var final_emb, ag::Var x0,
+                              std::vector<int32_t> users,
+                              std::vector<int32_t> pos_rows,
+                              std::vector<int32_t> neg_rows);
 
   /// Hook after the optimizer step of each batch. Default: none.
   virtual void AfterBatch() {}

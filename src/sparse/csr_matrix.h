@@ -67,7 +67,12 @@ class CsrMatrix {
   /// Number of stored entries in row r.
   int64_t RowNnz(int64_t r) const { return row_ptr_[r + 1] - row_ptr_[r]; }
 
-  /// out = this * dense. dense.rows() must equal cols(). Parallel over rows.
+  /// out = this * dense. dense.rows() must equal cols(). Parallel over
+  /// nnz-balanced row ranges. Each output row is built in register panels
+  /// of 32 columns, summed over the row's nonzeros and stored once; the
+  /// t % 32 leftover columns accumulate in the row. Every element sums w·x
+  /// in ascending nonzero order from +0, so the result does not depend on
+  /// the panel width or the pool width.
   tensor::Matrix Multiply(const tensor::Matrix& dense) const;
 
   /// Returns the transposed matrix.

@@ -33,6 +33,7 @@ Matrix Map(const Matrix& a, Fn fn) {
   const float* src = a.data();
   float* dst = out.data();
   par::For(a.size(), [&](int64_t lo, int64_t hi) {
+#pragma omp simd
     for (int64_t i = lo; i < hi; ++i) dst[i] = fn(src[i]);
   });
   return out;
@@ -46,6 +47,7 @@ Matrix Zip(const Matrix& a, const Matrix& b, Fn fn) {
   const float* pb = b.data();
   float* dst = out.data();
   par::For(a.size(), [&](int64_t lo, int64_t hi) {
+#pragma omp simd
     for (int64_t i = lo; i < hi; ++i) dst[i] = fn(pa[i], pb[i]);
   });
   return out;
@@ -68,6 +70,7 @@ void AddInPlace(Matrix* dst, const Matrix& src) {
   float* d = dst->data();
   const float* s = src.data();
   par::For(dst->size(), [&](int64_t lo, int64_t hi) {
+#pragma omp simd
     for (int64_t i = lo; i < hi; ++i) d[i] += s[i];
   });
 }
@@ -77,6 +80,7 @@ void AxpyInPlace(Matrix* dst, float alpha, const Matrix& src) {
   float* d = dst->data();
   const float* s = src.data();
   par::For(dst->size(), [&](int64_t lo, int64_t hi) {
+#pragma omp simd
     for (int64_t i = lo; i < hi; ++i) d[i] += alpha * s[i];
   });
 }
@@ -88,6 +92,7 @@ Matrix Scale(const Matrix& a, float alpha) {
 void ScaleInPlace(Matrix* dst, float alpha) {
   float* d = dst->data();
   par::For(dst->size(), [&](int64_t lo, int64_t hi) {
+#pragma omp simd
     for (int64_t i = lo; i < hi; ++i) d[i] *= alpha;
   });
 }
@@ -102,6 +107,7 @@ void HadamardInPlace(Matrix* dst, const Matrix& src) {
   float* d = dst->data();
   const float* s = src.data();
   par::For(dst->size(), [&](int64_t lo, int64_t hi) {
+#pragma omp simd
     for (int64_t i = lo; i < hi; ++i) d[i] *= s[i];
   });
 }
@@ -160,6 +166,7 @@ void ScatterAddRows(Matrix* dst, const std::vector<int32_t>& rows,
       if (r < row_lo || r >= row_hi) continue;
       float* d = dst->row(r);
       const float* s = src.row(static_cast<int64_t>(i));
+#pragma omp simd
       for (int64_t c = 0; c < cols; ++c) d[c] += s[c];
     }
   };
@@ -191,6 +198,7 @@ Matrix ScaleRows(const Matrix& x, const Matrix& s) {
           const float f = s(r, 0);
           const float* src = x.row(r);
           float* dst = out.row(r);
+#pragma omp simd
           for (int64_t c = 0; c < cols; ++c) dst[c] = f * src[c];
         }
       },

@@ -11,6 +11,8 @@
 #ifndef LAYERGCN_TENSOR_OPS_H_
 #define LAYERGCN_TENSOR_OPS_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -84,6 +86,22 @@ Matrix ScaleRows(const Matrix& x, const Matrix& s);
 /// Returns the N x 1 matrix of row dot products: out(r,0) = <a.row(r),
 /// b.row(r)>. Shapes must match.
 Matrix RowDots(const Matrix& a, const Matrix& b);
+
+/// K row dot products at once: out[k] = Σ_c a[k][c]·b[k][c] over `cols`
+/// columns, each product in f32 and each sum in f64 in ascending c, as
+/// RowDots rounds them. The K sums are independent chains, so taking them
+/// together hides the latency of the f64 adds.
+template <size_t K>
+std::array<double, K> RowDotGroup(const std::array<const float*, K>& a,
+                                  const std::array<const float*, K>& b,
+                                  int64_t cols) {
+  std::array<double, K> out{};
+  for (int64_t c = 0; c < cols; ++c) {
+#pragma GCC unroll 8
+    for (size_t k = 0; k < K; ++k) out[k] += a[k][c] * b[k][c];
+  }
+  return out;
+}
 
 /// Returns the N x 1 matrix of row L2 norms.
 Matrix RowL2Norms(const Matrix& a);

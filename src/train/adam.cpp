@@ -19,12 +19,12 @@ void Adam::Step(const std::vector<Parameter*>& params) {
   const double lr = config_.learning_rate;
   const double eps = config_.epsilon;
 
-  // One fused pass per parameter: the update, the gradient zeroing, and the
-  // squared-grad-norm partial all happen in the same blocked sweep (the
-  // norm used to be a second full scan over every gradient when metrics
-  // were on). Blocks are fixed-size and partials combine in block order
-  // (util::parallel), so both the updated values and the published norm are
-  // bit-identical at any thread count.
+  // Each block of a parameter takes its squared-grad-norm partial, then
+  // updates and zeroes its elements. The partial is a serial f64 sum in
+  // ascending order; it runs in a loop of its own so that the update,
+  // whose elements are independent, vectorizes. Blocks are fixed-size and
+  // partials combine in block order (util::parallel), so both the updated
+  // values and the published norm are bit-identical at any thread count.
   double grad_sq = 0.0;
   for (Parameter* p : params) {
     LAYERGCN_CHECK(p != nullptr);
@@ -38,6 +38,10 @@ void Adam::Step(const std::vector<Parameter*>& params) {
       for (int64_t i = lo; i < hi; ++i) {
         const double g = grad[i];
         sq += g * g;
+      }
+#pragma omp simd
+      for (int64_t i = lo; i < hi; ++i) {
+        const double g = grad[i];
         const double mi = b1 * m[i] + (1.0 - b1) * g;
         const double vi = b2 * v[i] + (1.0 - b2) * g * g;
         m[i] = static_cast<float>(mi);

@@ -27,6 +27,10 @@ class Adam {
   explicit Adam(const AdamConfig& config = {}) : config_(config) {}
 
   /// Applies one update from each parameter's .grad, then zeroes the grads.
+  /// Per fixed block of elements, the squared gradient norm (published as
+  /// `adam.grad_norm` when obs is on) is a serial f64 sum, and the update
+  /// a separate vectorized loop; the bits match the single loop that did
+  /// both, at any pool width.
   void Step(const std::vector<Parameter*>& params);
 
   /// Resets the bias-correction step counter.

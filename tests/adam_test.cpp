@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "gtest/gtest.h"
+#include "test_util.h"
 #include "train/parameter.h"
 #include "util/rng.h"
 
@@ -22,6 +23,51 @@ TEST(AdamTest, SingleStepMatchesHandComputation) {
   EXPECT_NEAR(p.value(0, 0), 1.f - 0.1f, 1e-5f);
   EXPECT_EQ(p.grad(0, 0), 0.f);  // grads zeroed by Step
   EXPECT_EQ(adam.step_count(), 1);
+}
+
+// Step t of Adam as one loop over the elements that accumulates the
+// squared gradient norm, updates and zeroes together: the reference for
+// the split norm and update loops.
+void ReferenceStep(const AdamConfig& cfg, int64_t t, Parameter* p) {
+  const double b1 = cfg.beta1;
+  const double b2 = cfg.beta2;
+  const double bias1 = 1.0 - std::pow(b1, static_cast<double>(t));
+  const double bias2 = 1.0 - std::pow(b2, static_cast<double>(t));
+  double sq = 0.0;
+  for (int64_t i = 0; i < p->value.size(); ++i) {
+    const double g = p->grad.data()[i];
+    sq += g * g;
+    const double mi = b1 * p->adam_m.data()[i] + (1.0 - b1) * g;
+    const double vi = b2 * p->adam_v.data()[i] + (1.0 - b2) * g * g;
+    p->adam_m.data()[i] = static_cast<float>(mi);
+    p->adam_v.data()[i] = static_cast<float>(vi);
+    p->value.data()[i] -= static_cast<float>(
+        cfg.learning_rate * (mi / bias1) /
+        (std::sqrt(vi / bias2) + cfg.epsilon));
+    p->grad.data()[i] = 0.f;
+  }
+  EXPECT_GT(sq, 0.0);
+}
+
+TEST(AdamTest, SplitUpdateMatchesSingleLoopBitForBit) {
+  // 37 x 1000 spans three Reduce blocks, the last one short.
+  const AdamConfig cfg{.learning_rate = 0.01};
+  Adam adam(cfg);
+  util::Rng rng(11);
+  Parameter p("w", 37, 1000);
+  p.InitXavier(&rng);
+  Parameter ref = p;
+  for (int64_t step = 1; step <= 5; ++step) {
+    p.grad = layergcn::testing::RandomMatrix(37, 1000, &rng, -2.f, 2.f);
+    p.grad(0, step) = 0.f;
+    ref.grad = p.grad;
+    adam.Step({&p});
+    ReferenceStep(cfg, step, &ref);
+    EXPECT_TRUE(layergcn::testing::SameBits(p.value, ref.value)) << step;
+    EXPECT_TRUE(layergcn::testing::SameBits(p.adam_m, ref.adam_m)) << step;
+    EXPECT_TRUE(layergcn::testing::SameBits(p.adam_v, ref.adam_v)) << step;
+    EXPECT_TRUE(layergcn::testing::SameBits(p.grad, ref.grad)) << step;
+  }
 }
 
 TEST(AdamTest, FirstStepMagnitudeIsLrRegardlessOfGradScale) {

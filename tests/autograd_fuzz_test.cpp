@@ -9,8 +9,9 @@
 
 #include "autograd/ops.h"
 #include "core/refined_propagation.h"
-#include "tensor/ops.h"
 #include "gtest/gtest.h"
+#include "models/bpr_loss.h"
+#include "tensor/ops.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -26,19 +27,23 @@ using layergcn::testing::LossBuilder;
 // must accumulate fan-out gradients correctly. One op kind is LayerGCN's
 // fused refined propagation over `adj` (R x R), whose backward adds into
 // its input's gradient buffer in place, often after other consumers of that
-// input have populated it. Ends with a smooth scalar reduction.
+// input have populated it. Another is the fused BPR + L2 loss over two
+// nodes with random, repeating rows; its scalar joins the final loss, and
+// its backward, too, adds into gradient buffers other consumers fill.
+// Ends with a smooth scalar reduction.
 Var BuildRandomDag(Tape* /*tape*/, const std::vector<Var>& leaves,
                    const sparse::CsrMatrix* adj, uint64_t structure_seed,
                    int steps) {
   util::Rng rng(structure_seed);
   std::vector<Var> pool = leaves;
+  std::vector<Var> losses;
   for (int s = 0; s < steps; ++s) {
     const Var a = pool[static_cast<size_t>(
         rng.NextBounded(pool.size()))];
     const Var b = pool[static_cast<size_t>(
         rng.NextBounded(pool.size()))];
     Var out;
-    switch (rng.NextInt(0, 9)) {
+    switch (rng.NextInt(0, 10)) {
       case 0:
         out = Add(a, b);
         break;
@@ -64,6 +69,20 @@ Var BuildRandomDag(Tape* /*tape*/, const std::vector<Var>& leaves,
         out = core::RefinedPropagation(adj, a, 1 + (s % 2), 1e-6f,
                                        /*include_ego_layer=*/s % 3 == 0);
         break;
+      case 8: {
+        const int rows = static_cast<int>(a.tape->value(a).rows());
+        std::vector<int32_t> users, pos, neg;
+        for (int k = 0; k < 4; ++k) {
+          users.push_back(rng.NextInt(0, rows));
+          pos.push_back(rng.NextInt(0, rows));
+          neg.push_back(rng.NextInt(0, rows));
+        }
+        losses.push_back(models::BprLoss(a, b, std::move(users),
+                                         std::move(pos), std::move(neg),
+                                         s % 2 == 0 ? 0.1 : 0.0));
+        out = Scale(a, 0.5f);
+        break;
+      }
       default:
         out = AddN({a, b});
         break;
@@ -75,7 +94,9 @@ Var BuildRandomDag(Tape* /*tape*/, const std::vector<Var>& leaves,
   if (pool.size() >= 3) {
     head = Add(head, Hadamard(pool[pool.size() / 2], Tanh(pool[0])));
   }
-  return Mean(Softplus(head));
+  Var loss = Mean(Softplus(head));
+  for (Var l : losses) loss = Add(loss, l);
+  return loss;
 }
 
 class AutogradFuzzTest : public ::testing::TestWithParam<uint64_t> {};

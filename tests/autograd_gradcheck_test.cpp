@@ -1,13 +1,14 @@
 // Central-difference gradient checks for every autograd op and for the
-// composite losses used by the models (BPR, LayerGCN refinement chain and
-// its fused op, VAE-style pipeline). These tests are the ground truth that
-// training gradients are correct.
+// composite losses used by the models (BPR and its fused op, LayerGCN
+// refinement chain and its fused op, VAE-style pipeline). These tests are
+// the ground truth that training gradients are correct.
 
 #include <cmath>
 
 #include "autograd/ops.h"
 #include "core/refined_propagation.h"
 #include "gtest/gtest.h"
+#include "models/bpr_loss.h"
 #include "sparse/csr_matrix.h"
 #include "tensor/ops.h"
 #include "test_util.h"
@@ -267,6 +268,32 @@ TEST(GradCheckTest, BprLossPipeline) {
     return Add(bpr, Scale(SumSquares(eu), 1e-3f));
   };
   ExpectGradientsMatch(build, {&emb});
+}
+
+TEST(GradCheckTest, FusedBprLoss) {
+  // models::BprLoss over a readout and an ego table of another width, with
+  // users and items repeated in the batch, and with the readout being the
+  // ego table itself (BPR-MF).
+  util::Rng rng(98);
+  tensor::Matrix e = RandomMatrix(8, 5, &rng, -0.5f, 0.5f);
+  tensor::Matrix x = RandomMatrix(8, 4, &rng, -0.5f, 0.5f);
+  tensor::Matrix xe = RandomMatrix(8, 4, &rng, -0.5f, 0.5f);
+  const std::vector<int32_t> users{0, 1, 1, 2, 0};
+  const std::vector<int32_t> pos{4, 5, 4, 6, 7};
+  const std::vector<int32_t> neg{5, 7, 6, 7, 4};
+  for (double l2 : {0.0, 0.05}) {
+    SCOPED_TRACE(::testing::Message() << "l2=" << l2);
+    ExpectGradientsMatch(
+        [&](Tape*, const std::vector<Var>& leaves) {
+          return models::BprLoss(leaves[0], leaves[1], users, pos, neg, l2);
+        },
+        {&e, &x});
+    ExpectGradientsMatch(
+        [&](Tape*, const std::vector<Var>& leaves) {
+          return models::BprLoss(leaves[0], leaves[0], users, pos, neg, l2);
+        },
+        {&xe});
+  }
 }
 
 // A small weighted bipartite-style graph on nodes 0..5; nodes 6.. of

@@ -4,14 +4,20 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/model_factory.h"
 #include "data/synthetic.h"
 #include "gtest/gtest.h"
+#include "models/bpr_loss.h"
 #include "models/imp_gcn.h"
 #include "models/lightgcn.h"
+#include "tensor/ops.h"
 #include "test_util.h"
 #include "train/trainer.h"
+#include "util/parallel.h"
+#include "util/thread_pool.h"
 
 namespace layergcn::models {
 namespace {
@@ -200,6 +206,154 @@ TEST(ModelDeterminismTest, SameSeedSameScores) {
     const tensor::Matrix b = run();
     EXPECT_TRUE(a.Equals(b)) << name << " is not deterministic";
   }
+}
+
+
+// What the gradient buffers hold when the op's backward starts.
+enum class PriorGrad {
+  kNone,
+  kFilled,       // non-zero terms from nodes recorded after the op
+  kSignedZeros,  // -0 entries, which the chain's zero-filled adds erase
+};
+
+struct BprCase {
+  bool l2;
+  PriorGrad prior;
+  float upstream;  // the op's output gradient
+  bool readout_is_x0 = false;  // BPR-MF: Propagate returns X⁰
+  int64_t batch = 64;
+  int64_t t = 9;         // X⁰ columns
+  int64_t readout_t = 12;
+  int threads = 1;
+};
+
+// The fused BPR + L2 op against the op chain it replaced: the same loss
+// and the same gradients for the readout and X⁰, bit for bit. Batches
+// repeat users and items, as sampled batches do.
+class BprLossOracleTest : public ::testing::TestWithParam<BprCase> {};
+
+TEST_P(BprLossOracleTest, MatchesOpChainBitForBit) {
+  const BprCase p = GetParam();
+  util::ThreadPool pool(p.threads);
+  util::parallel::ScopedComputePool scope(&pool);
+  util::Rng rng(17);
+  const int64_t nu = 23;
+  const int64_t n = nu + 31;
+  const tensor::Matrix x0 = layergcn::testing::RandomMatrix(n, p.t, &rng);
+  const tensor::Matrix readout = layergcn::testing::RandomMatrix(
+      n, p.readout_is_x0 ? p.t : p.readout_t, &rng);
+  std::vector<int32_t> users, pos_rows, neg_rows;
+  for (int64_t k = 0; k < p.batch; ++k) {
+    // Users crowd into 15 of 23 rows and items into 25 of 31: rows 15-22
+    // and the last six are never drawn.
+    users.push_back(rng.NextInt(0, 15));
+    pos_rows.push_back(static_cast<int32_t>(nu) + rng.NextInt(0, 20));
+    neg_rows.push_back(static_cast<int32_t>(nu) + rng.NextInt(5, 25));
+  }
+  const auto constant = [&](const tensor::Matrix& like) {
+    tensor::Matrix c = layergcn::testing::RandomMatrix(
+        like.rows(), like.cols(), &rng, 0.5f, 1.5f);
+    if (p.prior == PriorGrad::kSignedZeros) {
+      // -0 in rows the batch uses and in rows it never touches.
+      for (int64_t r : {int64_t{3}, nu + 2, int64_t{20}, n - 1}) {
+        for (int64_t c2 = 0; c2 < c.cols(); ++c2) c(r, c2) = -0.f;
+      }
+    }
+    return c;
+  };
+  const tensor::Matrix c_readout = constant(readout);
+  const tensor::Matrix c_x0 = constant(x0);
+
+  struct Result {
+    tensor::Matrix loss, readout_grad, x0_grad, readout_sink, x0_sink;
+  };
+  const auto run = [&](bool fused) {
+    ag::Tape tape;
+    Result out{{}, {}, {}, tensor::Matrix(readout.rows(), readout.cols()),
+               tensor::Matrix(n, p.t)};
+    ag::Var x = tape.Parameter(&x0, &out.x0_sink);
+    ag::Var e = p.readout_is_x0 ? x
+                                : tape.Parameter(&readout, &out.readout_sink);
+    const double l2_reg = p.l2 ? 0.3 : 0.0;
+    ag::Var loss =
+        fused ? BprLoss(e, x, users, pos_rows, neg_rows, l2_reg)
+              : layergcn::testing::BprChain(e, x, users, pos_rows, neg_rows,
+                                            l2_reg);
+    ag::Var total = ag::Scale(loss, p.upstream);
+    // Terms recorded after the op run their backward before it.
+    if (p.prior != PriorGrad::kNone) {
+      total = ag::Add(total, ag::Sum(ag::Hadamard(
+                                 e, tape.Constant(p.readout_is_x0
+                                                      ? c_x0
+                                                      : c_readout))));
+      if (!p.readout_is_x0) {
+        total = ag::Add(total,
+                        ag::Sum(ag::Hadamard(x, tape.Constant(c_x0))));
+      }
+    }
+    tape.Backward(total);
+    out.loss = tape.value(loss);
+    out.readout_grad = tape.grad(e);
+    out.x0_grad = tape.grad(x);
+    return out;
+  };
+  const Result fused = run(true);
+  const Result chain = run(false);
+  EXPECT_TRUE(layergcn::testing::SameBits(fused.loss, chain.loss));
+  EXPECT_TRUE(layergcn::testing::SameBits(fused.readout_sink,
+                                          chain.readout_sink));
+  EXPECT_TRUE(layergcn::testing::SameBits(fused.x0_sink, chain.x0_sink));
+  if (p.prior == PriorGrad::kSignedZeros) {
+    // Where a -0 sat in a row the op does not add to, the chain's dense
+    // add leaves +0 and the op leaves -0: equal values, and the same
+    // bits once added into a parameter's gradient (DESIGN.md §8).
+    EXPECT_TRUE(fused.readout_grad.Equals(chain.readout_grad));
+    EXPECT_TRUE(fused.x0_grad.Equals(chain.x0_grad));
+  } else {
+    EXPECT_TRUE(layergcn::testing::SameBits(fused.readout_grad,
+                                            chain.readout_grad));
+    EXPECT_TRUE(layergcn::testing::SameBits(fused.x0_grad, chain.x0_grad));
+  }
+  // The oracle is only as strong as the gradients are rich.
+  EXPECT_GT(tensor::SumSquares(chain.readout_grad), 0.0);
+  if (p.l2 && !p.readout_is_x0) {
+    EXPECT_GT(tensor::SumSquares(chain.x0_grad), 0.0);
+  }
+}
+
+std::string BprCaseName(const ::testing::TestParamInfo<BprCase>& info) {
+  const BprCase& c = info.param;
+  const char* const prior[] = {"", "_Filled", "_SignedZeros"};
+  return std::string(c.l2 ? "L2" : "NoL2") +
+         prior[static_cast<int>(c.prior)] +
+         (c.upstream != 1.f ? "_Upstream" : "") +
+         (c.readout_is_x0 ? "_ReadoutIsX0" : "") + "_B" +
+         std::to_string(c.batch) + "_T" + std::to_string(c.t) +
+         (c.threads > 1 ? "_" + std::to_string(c.threads) + "Threads" : "");
+}
+
+// 16000 x 9 elements span nine Reduce blocks whose starts fall inside
+// rows: one group of eight and a short last block.
+INSTANTIATE_TEST_SUITE_P(
+    Cases, BprLossOracleTest,
+    ::testing::Values(BprCase{true, PriorGrad::kNone, 1.f},
+                      BprCase{false, PriorGrad::kNone, 1.f},
+                      BprCase{true, PriorGrad::kFilled, 0.7f},
+                      BprCase{false, PriorGrad::kFilled, -1.3f},
+                      BprCase{true, PriorGrad::kSignedZeros, 0.7f},
+                      BprCase{true, PriorGrad::kFilled, 0.7f, true},
+                      BprCase{true, PriorGrad::kNone, 1.f, true},
+                      BprCase{true, PriorGrad::kFilled, 0.7f, false, 16000},
+                      BprCase{true, PriorGrad::kFilled, 0.7f, false, 3000,
+                              64, 64, 4}),
+    BprCaseName);
+
+TEST(BprLossDeathTest, RowOutOfRangeAborts) {
+  ag::Tape tape;
+  const tensor::Matrix x0(6, 2);
+  tensor::Matrix sink(6, 2);
+  ag::Var x = tape.Parameter(&x0, &sink);
+  EXPECT_DEATH(BprLoss(x, x, {0}, {4}, {6}, 0.1), "BprLoss: row 6");
 }
 
 }  // namespace

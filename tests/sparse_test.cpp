@@ -124,6 +124,40 @@ TEST(CsrTest, MultiplyBitIdenticalAcrossPoolWidths) {
   }
 }
 
+// Multiply keeps 32-column panels of an output row in registers and runs
+// the leftover columns in the row itself; every element must still sum
+// w·x in ascending nonzero order from +0. The widths cover a panel's
+// remainders, and 6000 nonzeros put t >= 22 above the serial cutoff.
+TEST(CsrTest, MultiplyMatchesScalarReferenceBitForBit) {
+  util::Rng rng(103);
+  CooMatrix coo;
+  coo.rows = 601;  // row 600 stays empty
+  coo.cols = 400;
+  for (int k = 0; k < 6000; ++k) {
+    coo.entries.push_back({rng.NextInt(0, 600), rng.NextInt(0, 400),
+                           static_cast<float>(rng.NextGaussian())});
+  }
+  const CsrMatrix m = CsrMatrix::FromCoo(coo);
+  for (int64_t t : {1, 17, 32, 33, 64, 100}) {
+    const tensor::Matrix x =
+        layergcn::testing::RandomMatrix(coo.cols, t, &rng);
+    tensor::Matrix want(coo.rows, t);
+    for (int64_t r = 0; r < m.rows(); ++r) {
+      for (int64_t p = m.row_ptr()[r]; p < m.row_ptr()[r + 1]; ++p) {
+        const float w = m.values()[static_cast<size_t>(p)];
+        const int32_t col = m.col_idx()[static_cast<size_t>(p)];
+        for (int64_t c = 0; c < t; ++c) want(r, c) += w * x(col, c);
+      }
+    }
+    const auto outs =
+        layergcn::testing::AtPoolWidths([&] { return m.Multiply(x); });
+    for (size_t w = 0; w < outs.size(); ++w) {
+      EXPECT_TRUE(layergcn::testing::SameBits(outs[w], want))
+          << "t=" << t << " width index " << w;
+    }
+  }
+}
+
 TEST(CsrTest, TransposeCorrect) {
   CsrMatrix m = CsrMatrix::FromCoo(SmallCoo());
   CsrMatrix t = m.Transpose();

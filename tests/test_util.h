@@ -162,6 +162,33 @@ inline ag::Var RefinedChain(const sparse::CsrMatrix* adj, ag::Var x0,
   return ag::AddN(layers);
 }
 
+/// BPR over the triples (users[k], pos_rows[k], neg_rows[k]) of `readout`
+/// plus, when l2_reg > 0, l2_reg / B times ‖the same rows of x0‖², as the
+/// op chain GatherRows ×6 → RowDots ×2 → Sub → Softplus → Mean,
+/// SumSquares ×3 → AddN → Scale → Add: the oracle models::BprLoss must
+/// match bit for bit. The statements keep the chain's node order.
+inline ag::Var BprChain(ag::Var readout, ag::Var x0,
+                        const std::vector<int32_t>& users,
+                        const std::vector<int32_t>& pos_rows,
+                        const std::vector<int32_t>& neg_rows, double l2_reg) {
+  ag::Var eu = ag::GatherRows(readout, users);
+  ag::Var ei = ag::GatherRows(readout, pos_rows);
+  ag::Var ej = ag::GatherRows(readout, neg_rows);
+  // -log σ(r_ui − r_uj) = softplus(r_uj − r_ui).
+  ag::Var pos_scores = ag::RowDots(eu, ei);
+  ag::Var neg_scores = ag::RowDots(eu, ej);
+  ag::Var bpr = ag::Mean(ag::Softplus(ag::Sub(neg_scores, pos_scores)));
+  if (l2_reg <= 0.0) return bpr;
+  ag::Var e0u = ag::GatherRows(x0, users);
+  ag::Var e0i = ag::GatherRows(x0, pos_rows);
+  ag::Var e0j = ag::GatherRows(x0, neg_rows);
+  ag::Var reg = ag::AddN(
+      {ag::SumSquares(e0u), ag::SumSquares(e0i), ag::SumSquares(e0j)});
+  const float coef =
+      static_cast<float>(l2_reg / static_cast<double>(users.size()));
+  return ag::Add(bpr, ag::Scale(reg, coef));
+}
+
 /// Every scoring encoding, for tests that take the encoding as an input.
 inline constexpr eval::ScoreEncoding kAllEncodings[] = {
     eval::ScoreEncoding::kF32, eval::ScoreEncoding::kInt8,

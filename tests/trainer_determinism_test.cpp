@@ -5,15 +5,17 @@
 // fixed block partitions, in-order reduction combines, and row-sharded
 // scatter-adds make the thread count unobservable in the numerics. The
 // same runs pin LayerGCN's fused refined-layer op to the four-op chain it
-// replaced.
+// replaced, and the fused BPR + L2 loss op to its op chain.
 
 #include <cstring>
 #include <vector>
 
 #include "core/layergcn.h"
+#include "core/layergcn_ssl.h"
 #include "data/split.h"
 #include "data/synthetic.h"
 #include "gtest/gtest.h"
+#include "models/lightgcn.h"
 #include "tensor/matrix.h"
 #include "test_util.h"
 #include "train/trainer.h"
@@ -53,8 +55,22 @@ class ChainLayerGcn : public core::LayerGcn {
   }
 };
 
+// `Model` with its BPR + L2 loss built from the op chain instead of the
+// fused op: the reference the fused training trajectory must match.
+template <typename Model>
+class ChainBprLoss : public Model {
+ protected:
+  ag::Var RankingLoss(ag::Var final_emb, ag::Var x0,
+                      std::vector<int32_t> users,
+                      std::vector<int32_t> pos_rows,
+                      std::vector<int32_t> neg_rows) override {
+    return layergcn::testing::BprChain(final_emb, x0, users, pos_rows,
+                                       neg_rows, this->config_.l2_reg);
+  }
+};
+
 RunOutput TrainAtWidth(const data::Dataset& ds, int width,
-                       core::LayerGcn* model) {
+                       models::EmbeddingRecommender* model) {
   util::ThreadPool pool(width);
   util::parallel::ScopedComputePool scope(&pool);
 
@@ -131,6 +147,34 @@ TEST(TrainerDeterminismTest, FusedRefinementMatchesFourOpChain) {
                                             chain.embeddings))
         << "width=" << width;
   }
+}
+
+// The fused loss op repeats the chain's rounding and its gradient
+// accumulation order, so the whole trajectory of `Model` is bit-identical.
+template <typename Model>
+void ExpectFusedBprLossMatchesChain(const data::Dataset& ds,
+                                    const char* name) {
+  for (int width : {1, 2, 8}) {
+    Model fused_model;
+    ChainBprLoss<Model> chain_model;
+    const RunOutput fused = TrainAtWidth(ds, width, &fused_model);
+    const RunOutput chain = TrainAtWidth(ds, width, &chain_model);
+    ASSERT_EQ(fused.epoch_losses.size(), 3u) << name;
+    EXPECT_EQ(fused.epoch_losses, chain.epoch_losses)
+        << name << " width=" << width;
+    EXPECT_TRUE(
+        layergcn::testing::SameBits(fused.embeddings, chain.embeddings))
+        << name << " width=" << width;
+  }
+}
+
+TEST(TrainerDeterminismTest, FusedBprLossMatchesOpChain) {
+  // LayerGCN-SSL records its contrastive terms after the op, so their
+  // backward fills X⁰'s gradient before the op adds to it.
+  const data::Dataset ds = MidDataset();
+  ExpectFusedBprLossMatchesChain<core::LayerGcn>(ds, "LayerGCN");
+  ExpectFusedBprLossMatchesChain<core::LayerGcnSsl>(ds, "LayerGCN-SSL");
+  ExpectFusedBprLossMatchesChain<models::LightGcn>(ds, "LightGCN");
 }
 
 }  // namespace

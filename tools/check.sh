@@ -32,8 +32,8 @@
 # request — including a malformed-lines batch — and the bench_diff tool
 # must pass a self-compare, flag an injected 20% p99 regression (exit 2),
 # and refuse a cross-hardware comparison (exit 3); the committed
-# BENCH_perfbench_live.json must self-compare clean and flag an injected
-# op_p50_ms regression (exit 2).
+# BENCH_perfbench_live.json and BENCH_perfbench_train.json must each
+# self-compare clean and flag an injected op_p50_ms regression (exit 2).
 #
 # The `retrieval` stage serves one trained snapshot in exact and ivf
 # retrieval modes (schema-gated access logs with the retrieval/candidates
@@ -234,20 +234,23 @@ EOF
     echo "OBS-SERVE FAILED: bench_diff exit ${rc} on env mismatch, want 3"
     exit 1
   fi
-  # The committed perfbench result ({"value", "unit"} metrics) must
+  # Each committed perfbench result ({"value", "unit"} metrics) must
   # self-compare clean and trip exit 2 on an injected op_p50_ms regression.
-  local perf="${repo_root}/BENCH_perfbench_live.json"
-  "${dir}/tools/bench_diff" "${perf}" "${perf}"
-  sed 's/"op_p50_ms": {"value": [0-9.e+-]*/"op_p50_ms": {"value": 1e9/' \
-    "${perf}" > "${out}/perfbench-regressed.json"
-  rc=0
-  "${dir}/tools/bench_diff" "${perf}" "${out}/perfbench-regressed.json" ||
-    rc=$?
-  if [[ "${rc}" -ne 2 ]]; then
-    echo "OBS-SERVE FAILED: bench_diff exit ${rc} on perfbench op_p50_ms" \
-         "regression, want 2"
-    exit 1
-  fi
+  local workload perf
+  for workload in live train; do
+    perf="${repo_root}/BENCH_perfbench_${workload}.json"
+    "${dir}/tools/bench_diff" "${perf}" "${perf}"
+    sed 's/"op_p50_ms": {"value": [0-9.e+-]*/"op_p50_ms": {"value": 1e9/' \
+      "${perf}" > "${out}/perfbench-${workload}-regressed.json"
+    rc=0
+    "${dir}/tools/bench_diff" "${perf}" \
+      "${out}/perfbench-${workload}-regressed.json" || rc=$?
+    if [[ "${rc}" -ne 2 ]]; then
+      echo "OBS-SERVE FAILED: bench_diff exit ${rc} on perfbench" \
+           "${workload} op_p50_ms regression, want 2"
+      exit 1
+    fi
+  done
 }
 run_obs_serve_stage
 
